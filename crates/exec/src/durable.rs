@@ -1,13 +1,20 @@
 //! Durable file writes: the one place the workspace fsyncs, renames and
 //! checksums what it persists (run stores, telemetry, service markers,
-//! sweep checkpoints).
+//! sweep checkpoints), and the one format of an append-only record log
+//! (the run journal, the sweep checkpoint).
 //!
 //! Each step that changes the disk — the tmp write, rename and directory
 //! fsync of [`write_atomic`], the write and directory fsync of [`append`],
-//! [`truncate`], [`sync_dir`] — is one *durable operation*. The
+//! [`Scan::cut_tail`], [`sync_dir`] — is one *durable operation*. The
 //! `durable.op` failpoint fires before each, keyed by the operation's
 //! process-wide sequence number ([`ops`]), so a test can fail exactly the
 //! k-th operation of a run: every crash point, enumerated.
+//!
+//! **Record logs** (the run journal, the sweep checkpoint): a header record,
+//! then one record per line, each of tab-separated [`escape`]d fields
+//! [`seal`]ed with its own checksum. [`read_log`] and [`scan`] find the
+//! intact records; the writer cuts a torn tail with [`Scan::cut_tail`]
+//! before its next append.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
@@ -114,14 +121,6 @@ pub fn append(path: &Path, header: &[u8], record: &[u8]) -> io::Result<()> {
     appended
 }
 
-/// Cuts the file at `path` to `len` bytes and fsyncs it.
-pub fn truncate(path: &Path, len: u64) -> io::Result<()> {
-    step()?;
-    let file = OpenOptions::new().write(true).open(path)?;
-    file.set_len(len)?;
-    file.sync_all()
-}
-
 /// Fsyncs the directory holding `path`, making a create or rename in it
 /// durable.
 pub fn sync_dir(path: &Path) -> io::Result<()> {
@@ -131,6 +130,120 @@ pub fn sync_dir(path: &Path) -> io::Result<()> {
         _ => Path::new("."),
     };
     File::open(dir)?.sync_all()
+}
+
+/// Escapes backslash, tab, CR and LF, so a text field stays on one line
+/// and inside its tab-separated slot of a record.
+pub fn escape(field: &str) -> String {
+    field
+        .replace('\\', "\\\\")
+        .replace('\t', "\\t")
+        .replace('\n', "\\n")
+        .replace('\r', "\\r")
+}
+
+/// Inverse of [`escape`].
+pub fn unescape(field: &str) -> Result<String, String> {
+    let mut out = String::with_capacity(field.len());
+    let mut chars = field.chars();
+    while let Some(c) = chars.next() {
+        out.push(match c {
+            '\\' => match chars.next() {
+                Some('\\') => '\\',
+                Some('t') => '\t',
+                Some('n') => '\n',
+                Some('r') => '\r',
+                other => return Err(format!("bad escape {other:?}")),
+            },
+            c => c,
+        });
+    }
+    Ok(out)
+}
+
+/// Seals a record body (tab-separated fields): appends a tab, the FNV-1a 64
+/// of the body as 16 lowercase hex digits, and the newline.
+pub fn seal(body: &str) -> String {
+    format!("{body}\t{:016x}\n", fnv64(body.as_bytes()))
+}
+
+/// The body of a sealed record line (newline already stripped), or `None`
+/// when its checksum does not match.
+fn unseal(line: &[u8]) -> Option<&str> {
+    let (body, sum) = line.split_at(line.len().checked_sub(17)?);
+    let sealed = format!("\t{:016x}", fnv64(body));
+    (sum == sealed.as_bytes()).then(|| std::str::from_utf8(body).ok())?
+}
+
+/// The intact record prefix of a log, as [`scan`] found it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scan<'a> {
+    /// How many records are intact, the header included.
+    pub records: usize,
+    /// Byte length of the intact records: where a torn tail is cut.
+    pub intact_len: usize,
+    /// The bytes past them (empty when the whole log is intact).
+    pub tail: &'a [u8],
+}
+
+impl Scan<'_> {
+    /// Cuts the torn tail this scan found off the log at `path` and fsyncs
+    /// it. An intact log is left alone: no durable operation.
+    pub fn cut_tail(&self, path: &Path) -> io::Result<()> {
+        if self.tail.is_empty() {
+            return Ok(());
+        }
+        step()?;
+        let file = OpenOptions::new().write(true).open(path)?;
+        file.set_len(self.intact_len as u64)?;
+        file.sync_all()
+    }
+}
+
+/// Reads the log at `path`; a missing file is a log with no records.
+pub fn read_log(path: &Path) -> io::Result<Vec<u8>> {
+    match fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
+    }
+}
+
+/// Reads the sealed records of a log in order, handing each verified body
+/// and its index to `parse`, and stops at the first record that is
+/// incomplete (no newline), fails its checksum, or `parse` rejects. Record
+/// 0 is the header, whose first field is `magic`; a file that does not
+/// begin with one (a torn header is fine) is an error, so a caller never
+/// cuts a file that is not its own log.
+pub fn scan<'a>(
+    bytes: &'a [u8],
+    magic: &str,
+    mut parse: impl FnMut(usize, &str) -> Result<(), String>,
+) -> Result<Scan<'a>, String> {
+    let head = format!("{magic}\t");
+    let mut records = 0;
+    let mut pos = 0;
+    while let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') {
+        let body = unseal(&bytes[pos..pos + nl]);
+        if records == 0 {
+            let body = body
+                .filter(|body| body.starts_with(&head))
+                .ok_or_else(|| format!("not a {magic} file (bad header record)"))?;
+            parse(0, body)?;
+        } else if body.map_or(true, |body| parse(records, body).is_err()) {
+            break;
+        }
+        pos += nl + 1;
+        records += 1;
+    }
+    let tail = &bytes[pos..];
+    if records == 0 && !(tail.starts_with(head.as_bytes()) || head.as_bytes().starts_with(tail)) {
+        return Err(format!("not a {magic} file"));
+    }
+    Ok(Scan {
+        records,
+        intact_len: pos,
+        tail,
+    })
 }
 
 #[cfg(test)]
@@ -188,8 +301,116 @@ mod tests {
         append(&path, b"H\n", b"a\n").unwrap();
         append(&path, b"H\n", b"b\n").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"H\na\nb\n");
-        truncate(&path, 4).unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"H\na\n");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn escape_round_trips_every_special_character() {
+        let field = "tab\there, newline\nCR\r and \\ backslash ü";
+        let escaped = escape(field);
+        assert!(!escaped.contains(['\t', '\n', '\r']), "{escaped}");
+        assert_eq!(unescape(&escaped).unwrap(), field);
+        assert_eq!(escape("plain"), "plain");
+        assert!(unescape("dangling \\").is_err());
+        assert!(unescape("\\x").is_err());
+    }
+
+    #[test]
+    fn seal_appends_the_body_checksum_and_a_newline() {
+        assert_eq!(seal("a"), "a\taf63dc4c8601ec8c\n");
+        let line = seal("H\t1");
+        assert_eq!(unseal(line.trim_end().as_bytes()), Some("H\t1"));
+        let flipped = line.replacen('1', "2", 1);
+        assert_eq!(unseal(flipped.trim_end().as_bytes()), None);
+        assert_eq!(unseal(b"short"), None);
+    }
+
+    /// A three-record log: header `H 1`, then `r 1` and `r 2`.
+    fn three_records() -> String {
+        ["H\t1", "r\t1", "r\t2"].map(seal).concat()
+    }
+
+    /// Scans `bytes` as an `H` log, collecting every data record body;
+    /// `parse` rejects bodies equal to `reject`.
+    fn scan_bodies<'a>(bytes: &'a [u8], reject: &str) -> Result<(Scan<'a>, Vec<String>), String> {
+        let mut bodies = Vec::new();
+        let scan = scan(bytes, "H", |i, body| {
+            if body == reject {
+                return Err("rejected".to_string());
+            }
+            if i > 0 {
+                bodies.push(body.to_string());
+            }
+            Ok(())
+        })?;
+        Ok((scan, bodies))
+    }
+
+    #[test]
+    fn scan_stops_at_the_first_torn_corrupt_or_rejected_record() {
+        let log = three_records();
+        let second = log.find("r\t2").unwrap();
+        let (whole, bodies) = scan_bodies(log.as_bytes(), "").unwrap();
+        assert_eq!((whole.records, whole.intact_len), (3, log.len()));
+        assert!(whole.tail.is_empty());
+        assert_eq!(bodies, ["r\t1", "r\t2"]);
+        // Every cut inside the last record leaves the first two intact.
+        for cut in second..log.len() {
+            let (torn, bodies) = scan_bodies(&log.as_bytes()[..cut], "").unwrap();
+            assert_eq!((torn.records, torn.intact_len), (2, second), "cut at {cut}");
+            assert_eq!(torn.tail, &log.as_bytes()[second..cut]);
+            assert_eq!(bodies, ["r\t1"]);
+        }
+        // A corrupt record hides everything after it, intact or not.
+        let corrupt = log.replacen("r\t1", "r\t9", 1);
+        let (scan, bodies) = scan_bodies(corrupt.as_bytes(), "").unwrap();
+        assert_eq!(scan.records, 1);
+        assert_eq!(scan.tail.len(), log.len() - scan.intact_len);
+        assert!(bodies.is_empty());
+        // So does a record the caller's parser rejects.
+        let (scan, _) = scan_bodies(log.as_bytes(), "r\t2").unwrap();
+        assert_eq!((scan.records, scan.intact_len), (2, second));
+    }
+
+    #[test]
+    fn scan_refuses_a_file_whose_first_record_is_not_its_header() {
+        let log = three_records();
+        let header_len = log.find('\n').unwrap() + 1;
+        // A torn header is an empty log, however little of it survived.
+        for cut in 0..header_len {
+            let (scan, _) = scan_bodies(&log.as_bytes()[..cut], "").unwrap();
+            assert_eq!((scan.records, scan.intact_len), (0, 0), "cut at {cut}");
+        }
+        let foreign = [
+            "{\"version\": 1}\n".to_string(),
+            "X".to_string(),
+            seal("X\t1"),
+            log.replacen("H\t1", "H\t2", 1),
+        ];
+        for text in &foreign {
+            let err = scan_bodies(text.as_bytes(), "").unwrap_err();
+            assert!(err.contains("not a H file"), "{text:?}: {err}");
+        }
+        // A header the caller's parser rejects is refused with its error.
+        assert_eq!(scan_bodies(log.as_bytes(), "H\t1").unwrap_err(), "rejected");
+    }
+
+    #[test]
+    fn read_log_and_cut_tail_recover_a_torn_log() {
+        let dir = temp_dir("cut_tail");
+        let path = dir.join("log");
+        assert_eq!(read_log(&path).unwrap(), b"", "a missing log is empty");
+        let log = three_records();
+        let second = log.find("r\t2").unwrap();
+        fs::write(&path, &log[..log.len() - 3]).unwrap();
+        let bytes = read_log(&path).unwrap();
+        let (scan, _) = scan_bodies(&bytes, "").unwrap();
+        scan.cut_tail(&path).unwrap();
+        assert_eq!(read_log(&path).unwrap(), &log.as_bytes()[..second]);
+        // An intact log is left as it is.
+        let bytes = read_log(&path).unwrap();
+        scan_bodies(&bytes, "").unwrap().0.cut_tail(&path).unwrap();
+        assert_eq!(read_log(&path).unwrap(), bytes);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -171,7 +171,7 @@ fn run_scenario_inner(
     report::preflight(scenario)?;
 
     let committed = match store {
-        Some(st) => st.committed(),
+        Some(st) => st.start_session()?,
         None => vec![None; STAGE_NAMES.len()],
     };
     let mut warnings = Vec::new();
@@ -425,7 +425,10 @@ pub fn load_graph(path: &str) -> Result<MultiGraph, PipelineError> {
         .map_err(|e| PipelineError::Data(format!("{path}: {e}")))
 }
 
-fn check_graph(g: &MultiGraph, enabled: bool, what: &str) -> Result<(), PipelineError> {
+/// Runs the full `O(E log d)` [`MultiGraph::validate`] invariant check:
+/// always in debug builds, in release builds only when `enabled`
+/// (`--check-invariants`). A violation is a one-line data error, not a panic.
+pub fn check_graph(g: &MultiGraph, enabled: bool, what: &str) -> Result<(), PipelineError> {
     if enabled || cfg!(debug_assertions) {
         g.validate().map_err(|e| {
             PipelineError::Data(format!("{what}: graph invariant check failed: {e}"))

@@ -8,7 +8,7 @@
 //! runs/<run-id>/
 //!   manifest.json      identity: scenario + overrides + version, FNV-hashed
 //!   scenario.toml      verbatim copy of the scenario document
-//!   journal.jsonl      append-only begin/commit records, one JSON per line
+//!   journal.log        append-only begin/commit records, each sealed with its checksum
 //!   source.edges       stage-0 artifact (edge list of the topology)
 //!   measure.txt        stage-1 artifact (rendered measurement block)
 //!   attack.ckpt.json   stage-2 artifact (the sweep checkpoint, cell-level)
@@ -27,9 +27,12 @@
 //! any step before the commit record leaves the stage uncommitted and
 //! resume re-executes it; after it, the stage replays from its artifact.
 //! Artifacts are trusted only when a commit record with a matching checksum
-//! exists, and torn trailing journal lines are ignored. DESIGN.md §4f
-//! tabulates the crash points; a test fails every durable operation of a
-//! journaled run in turn and resumes it.
+//! exists. The journal is a record log in [`inet_exec::durable`]'s format:
+//! the header `inet-run-journal 1`, then `begin <stage> <name>` and
+//! `commit <stage> <name> <artifact> <checksum> <detail>` records. Readers
+//! never write; a run session cuts a torn tail once, before it appends.
+//! DESIGN.md §4f tabulates the crash points; a test fails every
+//! durable operation of a journaled run in turn and resumes it.
 //!
 //! The manifest hash covers the scenario text, every `--set` override, and
 //! the crate version; [`RunStore::open`] refuses to resume when it no
@@ -41,7 +44,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use inet_exec::durable::{self, fnv64, Fnv64};
+use inet_exec::durable::{self, escape, fnv64, seal, unescape, Fnv64};
 
 use crate::run::STAGE_NAMES;
 use crate::PipelineError;
@@ -51,7 +54,10 @@ pub const DEFAULT_RUNS_DIR: &str = "runs";
 /// Manifest file name inside a run directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
 /// Journal file name inside a run directory.
-pub const JOURNAL_FILE: &str = "journal.jsonl";
+pub const JOURNAL_FILE: &str = "journal.log";
+/// The journal's header record: its magic, then the format version.
+const JOURNAL_MAGIC: &str = "inet-run-journal";
+const JOURNAL_VERSION: &str = "1";
 /// Stored scenario copy inside a run directory.
 pub const SCENARIO_FILE: &str = "scenario.toml";
 /// Version stamped into (and hashed into) every manifest.
@@ -267,28 +273,23 @@ impl RunStore {
         )
     }
 
-    /// Appends one line to the journal, synced, behind the
-    /// `journal.write` failpoint (scope = stage index).
-    fn append(&self, stage: usize, line: &str) -> Result<(), PipelineError> {
+    /// Appends one sealed record to the journal, synced, behind the
+    /// `journal.write` failpoint (scope = stage index). A missing or empty
+    /// journal gets its header first.
+    fn append(&self, stage: usize, body: String) -> Result<(), PipelineError> {
         inet_fault::check("journal.write", stage as u64)
             .map_err(|e| data(format!("run '{}': journal: {e}", self.id)))?;
         durable::append(
             &self.dir.join(JOURNAL_FILE),
-            b"",
-            format!("{line}\n").as_bytes(),
+            seal(&format!("{JOURNAL_MAGIC}\t{JOURNAL_VERSION}")).as_bytes(),
+            seal(&body).as_bytes(),
         )
         .map_err(|e| data(format!("run '{}': journal: {e}", self.id)))
     }
 
     /// Journals the start of a stage.
     pub fn begin(&self, stage: usize) -> Result<(), PipelineError> {
-        self.append(
-            stage,
-            &format!(
-                r#"{{"event":"begin","stage":{stage},"name":"{}"}}"#,
-                STAGE_NAMES[stage]
-            ),
-        )
+        self.append(stage, format!("begin\t{stage}\t{}", STAGE_NAMES[stage]))
     }
 
     fn append_commit(
@@ -300,11 +301,11 @@ impl RunStore {
     ) -> Result<(), PipelineError> {
         self.append(
             stage,
-            &format!(
-                r#"{{"event":"commit","stage":{stage},"name":"{}","artifact":"{}","checksum":"{checksum:016x}","detail":"{}"}}"#,
+            format!(
+                "commit\t{stage}\t{}\t{}\t{checksum:016x}\t{}",
                 STAGE_NAMES[stage],
-                escape_json(artifact),
-                escape_json(detail)
+                escape(artifact),
+                escape(detail)
             ),
         )
     }
@@ -349,10 +350,24 @@ impl RunStore {
         self.append_commit(stage, &artifact, fnv64(&bytes), detail)
     }
 
-    /// The latest commit record per stage (last record wins, torn or
-    /// malformed lines ignored — see the crash matrix).
+    /// The latest commit record per stage among the journal's intact
+    /// records. Read-only: a torn tail stays on disk.
     pub fn committed(&self) -> Vec<Option<CommitRecord>> {
-        committed_in(&self.dir)
+        read_journal(&durable::read_log(&self.path(JOURNAL_FILE)).unwrap_or_default()).0
+    }
+
+    /// Starts a run session: cuts a torn journal tail, so this session's
+    /// records are never glued onto a torn fragment, then returns
+    /// [`RunStore::committed`]. Refuses a file that is not a journal.
+    pub(crate) fn start_session(&self) -> Result<Vec<Option<CommitRecord>>, PipelineError> {
+        let journal_err = |e: String| data(format!("run '{}': {JOURNAL_FILE}: {e}", self.id));
+        let path = self.path(JOURNAL_FILE);
+        let bytes = durable::read_log(&path).map_err(|e| journal_err(e.to_string()))?;
+        let (committed, scan) = read_journal(&bytes);
+        scan.map_err(journal_err)?
+            .cut_tail(&path)
+            .map_err(|e| journal_err(e.to_string()))?;
+        Ok(committed)
     }
 
     /// Loads a committed artifact and verifies its checksum. A mismatch
@@ -377,49 +392,40 @@ impl RunStore {
     }
 }
 
-fn committed_in(dir: &Path) -> Vec<Option<CommitRecord>> {
-    let mut out: Vec<Option<CommitRecord>> = vec![None; STAGE_NAMES.len()];
-    let Ok(text) = fs::read_to_string(dir.join(JOURNAL_FILE)) else {
-        return out;
-    };
-    for line in text.lines() {
-        let Some(obj) = parse_flat(line) else {
-            continue; // torn trailing line from a crash mid-append
-        };
-        if obj.get("event").and_then(JsonVal::as_str) != Some("commit") {
-            continue;
+/// Reads a journal's bytes: the latest commit record per stage among its
+/// intact records, and the [`durable::scan`] of them (whose torn tail a
+/// session cuts) or why the bytes are not a journal.
+fn read_journal(bytes: &[u8]) -> (Vec<Option<CommitRecord>>, Result<durable::Scan<'_>, String>) {
+    let mut committed: Vec<Option<CommitRecord>> = vec![None; STAGE_NAMES.len()];
+    let scan = durable::scan(bytes, JOURNAL_MAGIC, |index, body| {
+        let fields: Vec<&str> = body.split('\t').collect();
+        if index == 0 {
+            // `scan` checked the magic; the version is left.
+            return match fields[..] {
+                [_, JOURNAL_VERSION] => Ok(()),
+                _ => Err(format!("unsupported journal header {body:?}")),
+            };
         }
-        let Some(stage) = obj
-            .get("stage")
-            .and_then(JsonVal::as_int)
-            .and_then(|v| usize::try_from(v).ok())
-            .filter(|s| *s < out.len())
-        else {
-            continue;
-        };
-        let Some(checksum) = obj
-            .get("checksum")
-            .and_then(JsonVal::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-        else {
-            continue;
-        };
-        out[stage] = Some(CommitRecord {
-            stage,
-            artifact: obj
-                .get("artifact")
-                .and_then(JsonVal::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            checksum,
-            detail: obj
-                .get("detail")
-                .and_then(JsonVal::as_str)
-                .unwrap_or_default()
-                .to_string(),
-        });
-    }
-    out
+        let stage = fields
+            .get(1)
+            .and_then(|s| s.parse::<usize>().ok())
+            .filter(|&stage| stage < STAGE_NAMES.len())
+            .ok_or("bad stage")?;
+        match fields.as_slice() {
+            ["begin", _, _name] => Ok(()),
+            ["commit", _, _name, artifact, checksum, detail] => {
+                committed[stage] = Some(CommitRecord {
+                    stage,
+                    artifact: unescape(artifact)?,
+                    checksum: u64::from_str_radix(checksum, 16).map_err(|e| e.to_string())?,
+                    detail: unescape(detail)?,
+                });
+                Ok(())
+            }
+            _ => Err("unknown journal record".to_string()),
+        }
+    });
+    (committed, scan)
 }
 
 /// One run's identity + progress, for `inet runs list`.
@@ -445,8 +451,9 @@ impl RunInfo {
 
 /// The result of scanning a runs directory: the readable runs plus one
 /// warning line per directory that had to be skipped (missing, torn, or
-/// malformed manifest) — a single corrupted run must degrade to a
-/// warning, never abort the whole listing.
+/// malformed manifest; a journal that cannot be read or is not a journal)
+/// — a single corrupted run must degrade to a warning, never abort the
+/// whole listing.
 #[derive(Debug, Default)]
 pub struct RunScan {
     /// Every run with a readable, well-formed manifest, sorted by id.
@@ -456,9 +463,10 @@ pub struct RunScan {
 }
 
 /// Scans every entry under `root`: directories with a parseable manifest
-/// become [`RunInfo`]s; directories without one are reported in
-/// [`RunScan::skipped`] with a one-line reason. Plain files (editor
-/// droppings, lock files) are ignored silently.
+/// and a readable journal become [`RunInfo`]s; other directories are
+/// reported in [`RunScan::skipped`] with a one-line reason. Read-only: a
+/// torn journal tail stays on disk. Plain files (editor droppings, lock
+/// files) are ignored silently.
 pub fn scan_runs(root: &Path) -> RunScan {
     let Ok(entries) = fs::read_dir(root) else {
         return RunScan::default();
@@ -478,11 +486,18 @@ pub fn scan_runs(root: &Path) -> RunScan {
                 None => scan
                     .skipped
                     .push(format!("{id}: {MANIFEST_FILE} is torn or malformed")),
-                Some(manifest) => scan.runs.push(RunInfo {
-                    id,
-                    name: manifest.name,
-                    committed: committed_in(&dir).iter().map(Option::is_some).collect(),
-                }),
+                Some(manifest) => {
+                    let bytes = durable::read_log(&dir.join(JOURNAL_FILE));
+                    let (committed, journal) = read_journal(bytes.as_deref().unwrap_or_default());
+                    match bytes.as_ref().map_err(|e| e.to_string()).and(journal) {
+                        Err(e) => scan.skipped.push(format!("{id}: {JOURNAL_FILE}: {e}")),
+                        Ok(_) => scan.runs.push(RunInfo {
+                            id,
+                            name: manifest.name,
+                            committed: committed.iter().map(Option::is_some).collect(),
+                        }),
+                    }
+                }
             },
         }
     }
@@ -777,7 +792,7 @@ mod tests {
         let rec = committed[0].as_ref().unwrap();
         assert_eq!(rec.stage, 0);
         assert_eq!(rec.artifact, "source.edges");
-        assert_eq!(rec.detail, detail, "detail must survive JSON escaping");
+        assert_eq!(rec.detail, detail, "detail must survive escaping");
         assert_eq!(store.load_artifact(rec).unwrap(), b"0 1 1\n");
         assert!(committed[1].is_none());
         let _ = fs::remove_dir_all(&root);
@@ -801,6 +816,18 @@ mod tests {
         let _ = fs::remove_dir_all(&root);
     }
 
+    /// The first half of a sealed stage-1 commit record: what a crash
+    /// mid-append leaves at the end of the journal.
+    fn torn_commit_record() -> Vec<u8> {
+        let record = seal("commit\t1\tmeasure\tmeasure.txt\t0123456789abcdef\t");
+        record.as_bytes()[..record.len() / 2].to_vec()
+    }
+
+    fn append_raw(path: &Path, bytes: &[u8]) {
+        let mut f = fs::OpenOptions::new().append(true).open(path).unwrap();
+        f.write_all(bytes).unwrap();
+    }
+
     #[test]
     fn torn_journal_tail_leaves_the_stage_uncommitted() {
         let _lock = crate::test_lock();
@@ -810,16 +837,71 @@ mod tests {
             .commit_bytes(0, "source.edges", b"0 1 1\n", "")
             .unwrap();
         // Simulate a crash mid-append of the stage-1 commit record.
-        let mut f = fs::OpenOptions::new()
-            .append(true)
-            .open(store.path(JOURNAL_FILE))
-            .unwrap();
-        f.write_all(br#"{"event":"commit","stage":1,"name":"meas"#)
-            .unwrap();
-        drop(f);
+        let journal = store.path(JOURNAL_FILE);
+        append_raw(&journal, &torn_commit_record());
+        let torn = fs::read(&journal).unwrap();
         let committed = store.committed();
         assert!(committed[0].is_some());
         assert!(committed[1].is_none(), "torn record must not count");
+        // Only a session start cuts the tail; every other reader leaves
+        // the bytes alone.
+        let reopened = RunStore::open(&root, store.id()).unwrap();
+        assert_eq!(reopened.committed(), committed);
+        assert_eq!(scan_runs(&root).runs[0].status(), "at measure");
+        assert_eq!(fs::read(&journal).unwrap(), torn);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn new_session_commits_directly_after_a_torn_fragment() {
+        let _lock = crate::test_lock();
+        let root = temp_root("torn_session");
+        let store = RunStore::create(&root, "ba", DOC, "s.toml", &[]).unwrap();
+        store
+            .commit_bytes(0, "source.edges", b"0 1 1\n", "")
+            .unwrap();
+        let journal = store.path(JOURNAL_FILE);
+        let intact = fs::read(&journal).unwrap();
+        append_raw(&journal, &torn_commit_record());
+        // The next session appends no begin record first: its commit
+        // must still land on a clean record boundary.
+        let session = RunStore::open(&root, store.id()).unwrap();
+        let committed = session.start_session().unwrap();
+        assert!(committed[0].is_some() && committed[1].is_none());
+        assert_eq!(fs::read(&journal).unwrap(), intact, "torn tail cut");
+        session
+            .commit_bytes(1, "measure.txt", b"block\n", "")
+            .unwrap();
+        let committed = session.committed();
+        assert!(committed[0].is_some());
+        assert_eq!(committed[1].as_ref().unwrap().artifact, "measure.txt");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn journal_with_a_torn_header_gets_a_fresh_one() {
+        let _lock = crate::test_lock();
+        let root = temp_root("torn_header");
+        let store = RunStore::create(&root, "ba", DOC, "s.toml", &[]).unwrap();
+        let journal = store.path(JOURNAL_FILE);
+        let header = seal(&format!("{JOURNAL_MAGIC}\t{JOURNAL_VERSION}"));
+        for cut in 1..header.len() {
+            fs::write(&journal, &header.as_bytes()[..cut]).unwrap();
+            assert_eq!(store.start_session().unwrap(), vec![None; 4]);
+            store.commit_bytes(0, "a.bin", b"x", "").unwrap();
+            let bytes = fs::read(&journal).unwrap();
+            let scan = durable::scan(&bytes, JOURNAL_MAGIC, |_, _| Ok(())).unwrap();
+            assert_eq!((scan.records, scan.tail), (2, &b""[..]), "cut at {cut}");
+            assert!(bytes.starts_with(header.as_bytes()), "cut at {cut}");
+            assert!(store.committed()[0].is_some(), "cut at {cut}");
+        }
+        // A file whose first record is not a journal header is refused,
+        // never cut.
+        let foreign = b"{\"event\":\"begin\",\"stage\":0}\n";
+        fs::write(&journal, foreign).unwrap();
+        let e = store.start_session().unwrap_err();
+        assert!(e.message().contains(JOURNAL_FILE), "{e}");
+        assert_eq!(fs::read(&journal).unwrap(), foreign);
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -889,6 +971,26 @@ mod tests {
         );
         // The plain listing stays corruption-tolerant too.
         assert_eq!(list_runs(&root).len(), 1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn scan_runs_skips_a_run_whose_journal_is_not_a_journal() {
+        let _lock = crate::test_lock();
+        let root = temp_root("scan_journal");
+        let good = RunStore::create(&root, "good", DOC, "s.toml", &[]).unwrap();
+        let bad = RunStore::create(&root, "bad", DOC, "s.toml", &[]).unwrap();
+        let foreign = seal("inet-run-journal\t2");
+        fs::write(bad.path(JOURNAL_FILE), &foreign).unwrap();
+        let scan = scan_runs(&root);
+        assert_eq!(scan.runs.len(), 1, "{:?}", scan.runs);
+        assert_eq!(scan.runs[0].id, good.id());
+        assert!(
+            matches!(&scan.skipped[..], [w] if w.contains(bad.id()) && w.contains(JOURNAL_FILE)),
+            "{:?}",
+            scan.skipped
+        );
+        assert_eq!(fs::read_to_string(bad.path(JOURNAL_FILE)).unwrap(), foreign);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -1445,6 +1445,18 @@ mod tests {
             summary, direct.summary,
             "served summary must be bit-identical"
         );
+        // `result` only reads the journal: a torn tail changes neither the
+        // answer nor the journal's bytes.
+        let journal = dir
+            .join("runs")
+            .join(&id)
+            .join(crate::runstore::JOURNAL_FILE);
+        let mut torn = std::fs::read(&journal).unwrap();
+        torn.extend_from_slice(b"commit\t3\trep");
+        std::fs::write(&journal, &torn).unwrap();
+        let again = request(&addr, &encode_cmd("result", Some(&id)), 2_000).unwrap();
+        assert_eq!(again, resp);
+        assert_eq!(std::fs::read(&journal).unwrap(), torn);
         // Stats counted the job; drain exits clean.
         let stats = request(&addr, &encode_cmd("stats", None), 2_000).unwrap();
         assert_eq!(

@@ -9,9 +9,8 @@
 //! checks the fingerprint, and every cell already recorded is skipped
 //! instead of recomputed.
 //!
-//! **Format (version 2).** One record per line. Fields are separated by
-//! tabs; the last field is the FNV-1a 64 checksum (16 hex digits) of the
-//! bytes before that final tab, so every record verifies on its own:
+//! **Format (version 2).** A record log in [`inet_exec::durable`]'s format
+//! (tab-separated fields, each record sealed with its own checksum):
 //!
 //! ```text
 //! inet-sweep-checkpoint  2  9a3c…  v1 strategies=[…] …  <fnv64>
@@ -22,25 +21,20 @@
 //! A `cell` record holds strategy, replica, resampled (0/1), nodes, edges,
 //! critical fraction, and the curve as a space-separated run of
 //! `removed giant edges ⟨s⟩` quadruples. A `fail` record holds strategy,
-//! replica, attempt and the panic message. Text fields escape backslash,
-//! tab, CR and LF. Floats use `{:?}`, Rust's shortest round-trip form, so a
-//! load → save cycle is lossless.
+//! replica, attempt and the panic message. Floats use `{:?}`, Rust's
+//! shortest round-trip form, so a load → save cycle is lossless.
 //!
 //! **Durability.** Every write goes through [`inet_exec::durable`]:
 //!
-//! * *Append* — [`Checkpoint::append`] writes one record and syncs
-//!   its data to disk. The first append creates the file with the header in
-//!   the same write, then fsyncs the parent directory once so the new
-//!   directory entry survives a crash too. A failed append is cut back to
-//!   the last intact byte. The sweep serializes a record before it takes
-//!   its state lock; under the lock it only appends.
-//! * *Torn tails* — a crash mid-append leaves at most one incomplete record
-//!   at the end. [`Checkpoint::load_recovering`] reads records in order,
-//!   stops at the first one that is incomplete (no newline) or fails its
-//!   checksum, truncates the file there (and fsyncs it) so the next append
-//!   starts on a clean line, and names what it dropped in
-//!   [`LoadedCheckpoint::dropped_tail`]. Only the dropped cells are
-//!   recomputed.
+//! * *Append* — [`Checkpoint::append`] writes one synced record; the first
+//!   one creates the file with the header. The sweep serializes a record
+//!   before it takes its state lock; under the lock it only appends.
+//! * *Torn tails* — [`Checkpoint::load_recovering`] keeps the records
+//!   [`inet_exec::durable::scan`] finds intact, truncates the file after
+//!   them so the next append starts on a clean line, and names what it
+//!   dropped in [`LoadedCheckpoint::dropped_tail`]. Only the dropped cells
+//!   are recomputed. A file whose first record is not a checkpoint header
+//!   is refused, never cut.
 //! * *Snapshots* — [`Checkpoint::save_with_retry`] writes the whole state in
 //!   the same format with [`inet_exec::durable::write_atomic`]: `<name>.tmp`,
 //!   fsync, rename over `<name>`, fsync the directory. The same loader
@@ -60,12 +54,11 @@
 use crate::percolation::{AttackCurve, CurvePoint};
 /// Re-exported from [`inet_exec::durable`], where the checksum lives.
 pub use inet_exec::durable::fnv64;
-use inet_exec::durable::{self, Fnv64};
+use inet_exec::durable::{self, escape, seal, unescape, Fnv64};
 pub use inet_exec::{RetryExhausted, RetryPolicy};
 use inet_graph::Csr;
 use std::fmt;
 use std::fmt::Write as _;
-use std::io;
 use std::path::{Path, PathBuf};
 
 /// Format version written by this build; files of other versions are
@@ -224,14 +217,14 @@ impl CellRecord {
                 p.removed, p.giant, p.edges, p.mean_component
             );
         }
-        seal(body)
+        seal(&body)
     }
 }
 
 impl FailureRecord {
     /// This failure as one checksummed log record, newline included.
     pub fn log_line(&self) -> String {
-        seal(format!(
+        seal(&format!(
             "fail\t{}\t{}\t{}\t{}",
             escape(&self.strategy),
             self.replica,
@@ -308,7 +301,7 @@ impl Checkpoint {
 
     /// The header record, newline included.
     fn header_line(&self) -> String {
-        seal(format!(
+        seal(&format!(
             "{MAGIC}\t{CHECKPOINT_VERSION}\t{:016x}\t{}",
             self.fingerprint,
             escape(&self.config)
@@ -330,8 +323,8 @@ impl Checkpoint {
     /// Parses a complete log. Unlike [`Checkpoint::load_recovering`], a
     /// torn or corrupt record anywhere is an error, not a tail to drop.
     pub fn parse(text: &str) -> Result<Checkpoint, String> {
-        let scan = scan(text.as_bytes())?;
-        match (scan.checkpoint, scan.dropped) {
+        let (checkpoint, scan) = parse_log(text.as_bytes())?;
+        match (checkpoint, torn_tail(&scan)) {
             (Some(checkpoint), None) => Ok(checkpoint),
             (_, Some(dropped)) => Err(format!("bad {dropped}")),
             (None, None) => Err("no header record".to_string()),
@@ -412,13 +405,9 @@ impl Checkpoint {
         type Terminal = Result<Option<LoadedCheckpoint>, CheckpointError>;
         let outcome: Result<Terminal, RetryExhausted> = retry.run(|attempt| {
             inet_fault::check("checkpoint.read", attempt).map_err(|e| e.to_string())?;
-            let bytes = match std::fs::read(path) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Ok(None)),
-                Err(e) => return Err(e.to_string()),
-            };
-            let scan = match scan(&bytes) {
-                Ok(scan) => scan,
+            let bytes = durable::read_log(path).map_err(|e| e.to_string())?;
+            let (checkpoint, scan) = match parse_log(&bytes) {
+                Ok(read) => read,
                 Err(message) => {
                     return Ok(Err(CheckpointError::Parse {
                         path: path.to_path_buf(),
@@ -426,13 +415,11 @@ impl Checkpoint {
                     }))
                 }
             };
-            if scan.dropped.is_some() {
-                durable::truncate(path, scan.valid_len as u64)
-                    .map_err(|e| format!("truncate torn tail of {}: {e}", path.display()))?;
-            }
-            Ok(Ok(scan.checkpoint.map(|checkpoint| LoadedCheckpoint {
+            scan.cut_tail(path)
+                .map_err(|e| format!("truncate torn tail of {}: {e}", path.display()))?;
+            Ok(Ok(checkpoint.map(|checkpoint| LoadedCheckpoint {
                 checkpoint,
-                dropped_tail: scan.dropped,
+                dropped_tail: torn_tail(&scan),
             })))
         });
         outcome.map_err(|exhausted| CheckpointError::Io {
@@ -442,73 +429,11 @@ impl Checkpoint {
     }
 }
 
-/// Appends the checksum field and the newline to a record body.
-fn seal(mut body: String) -> String {
-    let sum = fnv64(body.as_bytes());
-    let _ = writeln!(body, "\t{sum:016x}");
-    body
-}
-
-/// The body of a sealed record line (newline already stripped), or `None`
-/// when its checksum does not match.
-fn unseal(line: &[u8]) -> Option<&str> {
-    let split = line.len().checked_sub(17)?;
-    let (body, sum) = line.split_at(split);
-    let sum = std::str::from_utf8(sum.strip_prefix(b"\t")?).ok()?;
-    let sum = u64::from_str_radix(sum, 16).ok()?;
-    (fnv64(body) == sum).then(|| std::str::from_utf8(body).ok())?
-}
-
-/// Escapes backslash, tab, CR and LF so a text field stays on one line and
-/// inside its tab-separated slot.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`escape`].
-fn unescape(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        out.push(match chars.next() {
-            Some('\\') => '\\',
-            Some('t') => '\t',
-            Some('n') => '\n',
-            Some('r') => '\r',
-            other => return Err(format!("bad escape {other:?}")),
-        });
-    }
-    Ok(out)
-}
-
-/// The intact record prefix of a log.
-struct Scan {
-    /// The header and every intact record after it; `None` when the file
-    /// holds no complete header.
-    checkpoint: Option<Checkpoint>,
-    /// Byte length of the intact prefix.
-    valid_len: usize,
-    /// Description of the torn or corrupt tail past `valid_len`, if any.
-    dropped: Option<String>,
-}
-
-/// Reads records in order up to the first torn or corrupt one. Errors only
-/// when the file is not a version-2 checkpoint at all.
-fn scan(bytes: &[u8]) -> Result<Scan, String> {
+/// Reads a log's intact records with [`durable::scan`]: the checkpoint they
+/// hold (`None` without a complete header) and the scan, whose tail is
+/// what follows them. Errors only when the file is not a version-2
+/// checkpoint at all.
+fn parse_log(bytes: &[u8]) -> Result<(Option<Checkpoint>, durable::Scan<'_>), String> {
     if bytes.first() == Some(&b'{') {
         return Err(format!(
             "format version 1 (a whole JSON document) is not supported; this build \
@@ -516,30 +441,18 @@ fn scan(bytes: &[u8]) -> Result<Scan, String> {
         ));
     }
     let mut checkpoint: Option<Checkpoint> = None;
-    let mut pos = 0;
-    let mut records = 0;
-    while let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') {
-        let body = unseal(&bytes[pos..pos + nl]);
-        if let Some(ck) = checkpoint.as_mut() {
-            if body.map_or(true, |body| parse_record(body, ck).is_err()) {
-                break;
-            }
-        } else {
-            let body = body.ok_or_else(|| format!("not a {MAGIC} file (bad header record)"))?;
-            checkpoint = Some(parse_header(body)?);
-        }
-        pos += nl + 1;
-        records += 1;
-    }
-    let tail = &bytes[pos..];
-    if checkpoint.is_none()
-        && !(tail.starts_with(MAGIC.as_bytes()) || MAGIC.as_bytes().starts_with(tail))
-    {
-        return Err(format!("not a {MAGIC} file"));
-    }
-    let dropped = (!tail.is_empty()).then(|| {
-        // Name the cell when its key fields survived the tear.
-        let fields: Vec<&[u8]> = tail.splitn(4, |&b| b == b'\t').collect();
+    let scan = durable::scan(bytes, MAGIC, |_, body| match checkpoint.as_mut() {
+        Some(ck) => parse_record(body, ck),
+        None => parse_header(body).map(|ck| checkpoint = Some(ck)),
+    })?;
+    Ok((checkpoint, scan))
+}
+
+/// Describes a scan's torn or corrupt tail, if it has one: the record
+/// index, the cell when its key fields survived the tear, and the offset.
+fn torn_tail(scan: &durable::Scan<'_>) -> Option<String> {
+    (!scan.tail.is_empty()).then(|| {
+        let fields: Vec<&[u8]> = scan.tail.splitn(4, |&b| b == b'\t').collect();
         let what = match fields.as_slice() {
             [tag @ (b"cell" | b"fail"), strategy, replica, _] => format!(
                 " ({} {}/{})",
@@ -549,27 +462,17 @@ fn scan(bytes: &[u8]) -> Result<Scan, String> {
             ),
             _ => String::new(),
         };
-        format!(
-            "record {records}{what}: {} byte(s) at offset {pos}",
-            tail.len()
-        )
-    });
-    Ok(Scan {
-        checkpoint,
-        valid_len: pos,
-        dropped,
+        let (records, len, at) = (scan.records, scan.tail.len(), scan.intact_len);
+        format!("record {records}{what}: {len} byte(s) at offset {at}")
     })
 }
 
 /// Parses the header record body.
 fn parse_header(body: &str) -> Result<Checkpoint, String> {
     let fields: Vec<&str> = body.splitn(4, '\t').collect();
-    let [magic, version, fingerprint, config] = fields.as_slice() else {
+    let [_magic, version, fingerprint, config] = fields.as_slice() else {
         return Err(format!("not a {MAGIC} file (short header)"));
     };
-    if *magic != MAGIC {
-        return Err(format!("not a {MAGIC} file"));
-    }
     if *version != CHECKPOINT_VERSION.to_string() {
         return Err(format!(
             "format version {version} is not supported (this build reads version \
@@ -700,6 +603,27 @@ mod tests {
     }
 
     #[test]
+    fn format_version_2_bytes_are_pinned() {
+        // The text the format produced before its framing moved to
+        // `inet_exec::durable`; existing checkpoints hold exactly these bytes.
+        const V2: &str = "inet-sweep-checkpoint\t2\tdeadbeef0badf00d\t\
+            v1 strategies=[degree,random] replicas=3 seed=7\t41e77faf9d16c1cd\n\
+            cell\tdegree\t0\t0\t5\t4\t0.4\t0 5 4 0.0 5 0 0 0.3333333333333333\t\
+            c6ccae0006a268a3\n\
+            cell\trandom\t2\t1\t5\t4\t0.0\t\t220085cd3e726925\n\
+            fail\trandom\t2\t0\tinjected \"panic\"\\nwith newline \\\\ and\\ttab\t\
+            7019fc04efabcb0f\n";
+        let log = sample_checkpoint().to_log();
+        assert_eq!(log.len(), 300);
+        assert_eq!(
+            format!("{:016x}", fnv64(log.as_bytes())),
+            "b364ad578f4c60ff"
+        );
+        assert_eq!(log, V2);
+        assert_eq!(Checkpoint::parse(V2).unwrap(), sample_checkpoint());
+    }
+
+    #[test]
     fn empty_checkpoint_round_trips() {
         let ck = Checkpoint::new(7, "");
         assert_eq!(Checkpoint::parse(&ck.to_log()).unwrap(), ck);
@@ -714,7 +638,7 @@ mod tests {
         );
         // Reseal so only the version differs.
         let body = v3.trim_end().rsplit_once('\t').unwrap().0.to_string();
-        let err = Checkpoint::parse(&seal(body)).unwrap_err();
+        let err = Checkpoint::parse(&seal(&body)).unwrap_err();
         assert!(err.contains("version 3"), "{err}");
         assert!(Checkpoint::parse("").is_err());
         assert!(Checkpoint::parse("not a checkpoint at all\n").is_err());

@@ -49,7 +49,7 @@
 use inet_suite::inet_model::generators::{model_names, registry, ParamValue};
 use inet_suite::inet_model::growth::fit::FittedRates;
 use inet_suite::inet_model::metrics::tiers::TierDecomposition;
-use inet_suite::inet_model::pipeline::run::load_graph;
+use inet_suite::inet_model::pipeline::run::{check_graph, load_graph};
 use inet_suite::inet_model::pipeline::runstore::DEFAULT_RUNS_DIR;
 use inet_suite::inet_model::pipeline::service::{self, ServeExit, Service, ServiceConfig};
 use inet_suite::inet_model::pipeline::{
@@ -751,19 +751,6 @@ fn parse_attack(
         threads,
         check_invariants,
     })
-}
-
-/// Runs the full `O(E log d)` [`MultiGraph::validate`] invariant check:
-/// always in debug builds (the debug-assert path), in release builds only
-/// under `--check-invariants`. A violation is a one-line data error, not a
-/// panic.
-fn check_graph(g: &MultiGraph, enabled: bool, what: &str) -> Result<(), PipelineError> {
-    if enabled || cfg!(debug_assertions) {
-        g.validate().map_err(|e| {
-            PipelineError::Data(format!("{what}: graph invariant check failed: {e}"))
-        })?;
-    }
-    Ok(())
 }
 
 fn giant(g: &MultiGraph) -> Csr {
