@@ -7,7 +7,8 @@
 //! thread pool. `inet-exec` owns that vocabulary in one place:
 //!
 //! * [`parallel`] — the deterministic work-stealing chunk pool (fixed chunk
-//!   grid, in-order merge: bit-identical results for any thread count);
+//!   grid, streaming in-order fold: bit-identical results for any thread
+//!   count, about `threads` partials alive at once);
 //! * [`cancel`] — cooperative [`CancelToken`] / [`Cancelled`] plumbing;
 //! * [`fence`] — [`PanicFence`], the single panic-containment choke point;
 //! * [`deadline`] — soft budgets ([`StopWatch`]) that annotate overruns and

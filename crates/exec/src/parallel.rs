@@ -8,12 +8,19 @@
 //! **fixed chunk grid** that depends only on the item count, and worker
 //! threads claim chunks from a shared [`AtomicUsize`] cursor.
 //!
-//! Because the grid never changes with the thread count, and per-chunk
-//! results are merged **in chunk order** after all workers finish, every
-//! output — including floating-point accumulations, whose value depends on
-//! summation order — is bit-identical for any `threads ≥ 1`. The
-//! single-thread path runs the same chunks in the same order inline, so it
-//! produces the same bits too.
+//! Every fan-out is one streaming fold ([`fanout_reduce`]): each chunk's
+//! result is folded into an accumulator **in chunk order** as soon as it
+//! and every earlier chunk are done. A worker that finishes out of order
+//! parks its partial; whoever finishes the next chunk in order folds every
+//! ready one. Because the grid never changes with the thread count and the
+//! fold order is the grid order, every output — including floating-point
+//! accumulations, whose value depends on summation order — is bit-identical
+//! for any `threads ≥ 1`. The single-thread path runs the same chunks in
+//! the same order inline, folding each before the next starts, so it
+//! produces the same bits with one partial alive. With more threads about
+//! `threads` partials are alive at once, and never more than the grid's
+//! chunk count. [`fanout_ordered`] is the fold that collects the partials
+//! into a `Vec`.
 //!
 //! Worker panics are caught per chunk and re-raised on the calling thread
 //! with the failing item range in the message, instead of an anonymous
@@ -24,10 +31,12 @@ use crate::fence::PanicFence;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-/// Upper bound on the number of chunks in a grid. Small enough that
-/// per-chunk partial buffers stay cheap, large enough that work stealing
-/// can balance hub-heavy chunks across any realistic core count.
+/// Upper bound on the number of chunks in a grid. Small enough that a
+/// collected or parked partial per chunk stays cheap, large enough that
+/// work stealing can balance hub-heavy chunks across any realistic core
+/// count.
 const MAX_CHUNKS: usize = 64;
 
 /// Default worker count: the machine's available parallelism, clamped to
@@ -64,7 +73,9 @@ pub fn chunk_grid(len: usize) -> Vec<Range<usize>> {
 ///
 /// The chunk grid and the returned order depend only on `len`, never on
 /// `threads`, so callers that fold the returned partials in order get
-/// bit-identical results for any thread count.
+/// bit-identical results for any thread count. Callers that only fold
+/// should use [`fanout_reduce`], which holds about `threads` partials at
+/// once rather than one per chunk.
 ///
 /// # Panics
 ///
@@ -81,9 +92,7 @@ where
     FS: Fn() -> S + Sync,
     FW: Fn(&mut S, Range<usize>) -> T + Sync,
 {
-    // Without a token no worker ever stops early, so the Err arm (empty
-    // default) is unreachable.
-    fanout_impl(len, threads, None, make_scratch, work).unwrap_or_default()
+    fanout_reduce(len, threads, Vec::new(), make_scratch, work, Vec::push)
 }
 
 /// [`fanout_ordered`] with cooperative cancellation: workers poll `token`
@@ -106,65 +115,141 @@ where
     FS: Fn() -> S + Sync,
     FW: Fn(&mut S, Range<usize>) -> T + Sync,
 {
-    fanout_impl(len, threads, Some(token), make_scratch, work)
+    let (parts, complete) = fold_impl(
+        len,
+        threads,
+        Some(token),
+        Vec::new(),
+        make_scratch,
+        work,
+        Vec::push,
+    );
+    complete.then_some(parts).ok_or(Cancelled)
 }
 
-/// Shared work-stealing core. With `token: None` the claim loop never
-/// stops early and the result is always `Ok`.
-fn fanout_impl<S, T, FS, FW>(
+/// Runs `work` over the fixed chunk grid for `len` items on up to
+/// `threads` work-stealing workers and folds each chunk's result into
+/// `init` with `fold`, **in chunk order**, as the chunks finish.
+///
+/// A worker that finishes a chunk out of order parks its partial; whoever
+/// finishes the next chunk in order folds every ready partial. The fold
+/// order — and so every float sum — is exactly the grid order for any
+/// `threads ≥ 1`, while only about `threads` partials are alive at once
+/// (never more than the grid's chunk count, even behind a straggler).
+/// With `len == 0` there are no chunks and `init` comes back unchanged.
+///
+/// # Panics
+///
+/// Like [`fanout_ordered`]: a panic in `work` is re-raised on the calling
+/// thread naming the earliest failing item range.
+pub fn fanout_reduce<S, T, A, FS, FW, FF>(
+    len: usize,
+    threads: usize,
+    init: A,
+    make_scratch: FS,
+    work: FW,
+    fold: FF,
+) -> A
+where
+    T: Send,
+    A: Send,
+    FS: Fn() -> S + Sync,
+    FW: Fn(&mut S, Range<usize>) -> T + Sync,
+    FF: FnMut(&mut A, T) + Send,
+{
+    // Without a token no worker stops early, so every chunk is folded.
+    fold_impl(len, threads, None, init, make_scratch, work, fold).0
+}
+
+/// The accumulator side of [`fold_impl`]: partials wait in `parked` until
+/// every earlier chunk has been folded. It sits behind the pool's one
+/// lock, so folds never overlap; a fold is one pass over a partial, short
+/// next to the chunk of work that built it.
+struct InOrder<A, T, FF> {
+    acc: A,
+    fold: FF,
+    next: usize,
+    parked: Vec<Option<T>>,
+}
+
+impl<A, T, FF: FnMut(&mut A, T)> InOrder<A, T, FF> {
+    /// Parks chunk `c`'s partial, then folds every partial that is now
+    /// next in chunk order.
+    fn offer(&mut self, c: usize, t: T) {
+        self.parked[c] = Some(t);
+        while let Some(t) = self.parked.get_mut(self.next).and_then(Option::take) {
+            (self.fold)(&mut self.acc, t);
+            self.next += 1;
+        }
+    }
+}
+
+/// Shared work-stealing core. Returns the accumulator and whether every
+/// chunk was folded; with `token: None` the claim loop never stops early,
+/// so it always is.
+fn fold_impl<S, T, A, FS, FW, FF>(
     len: usize,
     threads: usize,
     token: Option<&CancelToken>,
+    init: A,
     make_scratch: FS,
     work: FW,
-) -> Result<Vec<T>, Cancelled>
+    mut fold: FF,
+) -> (A, bool)
 where
     T: Send,
+    A: Send,
     FS: Fn() -> S + Sync,
     FW: Fn(&mut S, Range<usize>) -> T + Sync,
+    FF: FnMut(&mut A, T) + Send,
 {
     let grid = chunk_grid(len);
     let threads = threads.max(1).min(grid.len().max(1));
     let cancelled = || token.map(CancelToken::is_cancelled).unwrap_or(false);
     if threads <= 1 || grid.len() <= 1 {
         let mut scratch = make_scratch();
-        let mut parts = Vec::with_capacity(grid.len());
+        let mut acc = init;
         for range in grid {
             if cancelled() {
-                return Err(Cancelled);
+                return (acc, false);
             }
-            parts.push(run_chunk(&work, &mut scratch, range));
+            fold(&mut acc, run_chunk(&work, &mut scratch, range));
         }
-        return Ok(parts);
+        return (acc, true);
     }
 
     type Payload = Box<dyn std::any::Any + Send + 'static>;
-    type WorkerResult<T> = Result<Vec<(usize, T)>, (Range<usize>, Payload)>;
+    type Failure = Option<(Range<usize>, Payload)>;
 
     let cursor = AtomicUsize::new(0);
-    let outcomes: Vec<WorkerResult<T>> = std::thread::scope(|scope| {
+    let state = Mutex::new(InOrder {
+        acc: init,
+        fold,
+        next: 0,
+        parked: (0..grid.len()).map(|_| None).collect(),
+    });
+    let failures: Vec<Failure> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let cursor = &cursor;
-                let grid = &grid;
-                let make_scratch = &make_scratch;
-                let work = &work;
+                let (cursor, grid, state) = (&cursor, &grid, &state);
+                let (make_scratch, work) = (&make_scratch, &work);
                 scope.spawn(move || {
                     let mut scratch = make_scratch();
-                    let mut done: Vec<(usize, T)> = Vec::new();
                     loop {
                         if cancelled() {
-                            return Ok(done);
+                            return None;
                         }
                         let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(range) = grid.get(c).cloned() else {
-                            return Ok(done);
-                        };
-                        let attempt =
-                            catch_unwind(AssertUnwindSafe(|| work(&mut scratch, range.clone())));
-                        match attempt {
-                            Ok(t) => done.push((c, t)),
-                            Err(payload) => return Err((range, payload)),
+                        // Past the grid: done, with no failure.
+                        let range = grid.get(c).cloned()?;
+                        match catch_unwind(AssertUnwindSafe(|| work(&mut scratch, range.clone()))) {
+                            // A fold that panicked poisoned the lock; its
+                            // panic is re-raised at join, so carry on.
+                            Ok(t) => state
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .offer(c, t),
+                            Err(payload) => return Some((range, payload)),
                         }
                     }
                 })
@@ -176,29 +261,13 @@ where
             .collect()
     });
 
-    let mut slots: Vec<Option<T>> = (0..grid.len()).map(|_| None).collect();
-    let mut failure: Option<(Range<usize>, Payload)> = None;
-    for outcome in outcomes {
-        match outcome {
-            Ok(parts) => {
-                for (c, t) in parts {
-                    slots[c] = Some(t);
-                }
-            }
-            // Report the earliest failing range so the message is
-            // deterministic when several workers panic at once.
-            Err(f) => {
-                failure = Some(match failure.take() {
-                    Some(old) if old.0.start <= f.0.start => old,
-                    _ => f,
-                })
-            }
-        }
-    }
+    // Report the earliest failing range so the message is deterministic
+    // when several workers panic at once. Chunks are claimed in grid
+    // order, so the earliest panicking chunk is always among them.
     // Not a new failure mode: re-raises the caught worker panic with the
     // failing range attached, for the caller's containment layer.
     #[allow(clippy::panic)]
-    if let Some((range, payload)) = failure {
+    if let Some((range, payload)) = failures.into_iter().flatten().min_by_key(|f| f.0.start) {
         panic!(
             "parallel worker panicked on items {}..{}: {}",
             range.start,
@@ -206,38 +275,11 @@ where
             PanicFence::message(&*payload)
         );
     }
-    let mut parts = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot {
-            Some(t) => parts.push(t),
-            // Only reachable under cancellation: every chunk is otherwise
-            // claimed by exactly one worker.
-            None => return Err(Cancelled),
-        }
-    }
-    Ok(parts)
-}
-
-/// [`fanout_ordered`] followed by an in-order fold of the chunk partials.
-/// Returns `None` when `len == 0` (no chunks). The fold runs on the calling
-/// thread in chunk order, so float accumulations stay bit-identical for any
-/// thread count.
-pub fn fanout_reduce<S, T, FS, FW, FM>(
-    len: usize,
-    threads: usize,
-    make_scratch: FS,
-    work: FW,
-    mut fold: FM,
-) -> Option<T>
-where
-    T: Send,
-    FS: Fn() -> S + Sync,
-    FW: Fn(&mut S, Range<usize>) -> T + Sync,
-    FM: FnMut(T, T) -> T,
-{
-    fanout_ordered(len, threads, make_scratch, work)
-        .into_iter()
-        .reduce(&mut fold)
+    let state = state.into_inner().unwrap_or_else(PoisonError::into_inner);
+    // Only short of the grid under cancellation: every chunk is otherwise
+    // claimed by exactly one worker and folded.
+    let complete = state.next == grid.len();
+    (state.acc, complete)
 }
 
 /// Single-threaded chunk execution with the same range-naming panic
@@ -311,17 +353,7 @@ mod tests {
         // Collect chunk start indices through the fold; order must be the
         // grid order regardless of thread count.
         for threads in [1, 4] {
-            let folded = fanout_reduce(
-                300,
-                threads,
-                || (),
-                |_, r| vec![r.start],
-                |mut a, b| {
-                    a.extend(b);
-                    a
-                },
-            )
-            .expect("non-empty");
+            let folded = fanout_reduce(300, threads, Vec::new(), || (), |_, r| r.start, Vec::push);
             let expect: Vec<usize> = chunk_grid(300).into_iter().map(|r| r.start).collect();
             assert_eq!(folded, expect, "threads {threads}");
         }
@@ -331,7 +363,10 @@ mod tests {
     fn empty_input_yields_no_chunks() {
         let got: Vec<u32> = fanout_ordered(0, 4, || (), |_, _| unreachable!());
         assert!(got.is_empty());
-        assert_eq!(fanout_reduce(0, 4, || (), |_, _| 1u32, |a, b| a + b), None);
+        assert_eq!(
+            fanout_reduce(0, 4, 5u32, || (), |_, _| 1u32, |a, b| *a += b),
+            5
+        );
     }
 
     #[test]

@@ -149,13 +149,33 @@ impl Executor {
         FS: Fn() -> S + Sync,
         FW: Fn(&mut S, Range<usize>) -> T + Sync,
     {
-        let _span = inet_obs::span::enter("exec.fanout", len as u64);
-        let started = std::time::Instant::now();
-        let out = parallel::fanout_ordered(len, self.threads, make_scratch, work);
-        inet_obs::default_registry()
-            .histogram("inet_exec_fanout_us", &[])
-            .observe(started.elapsed().as_micros() as u64);
-        out
+        traced_fanout(len, || {
+            parallel::fanout_ordered(len, self.threads, make_scratch, work)
+        })
+    }
+
+    /// [`parallel::fanout_reduce`] with this executor's thread count: the
+    /// streaming in-order fold, which holds about `threads` partials at
+    /// once instead of one per chunk. Records the same per-batch telemetry
+    /// as [`Executor::map_ordered`].
+    pub fn fold_ordered<S, T, A, FS, FW, FF>(
+        &self,
+        len: usize,
+        init: A,
+        make_scratch: FS,
+        work: FW,
+        fold: FF,
+    ) -> A
+    where
+        T: Send,
+        A: Send,
+        FS: Fn() -> S + Sync,
+        FW: Fn(&mut S, Range<usize>) -> T + Sync,
+        FF: FnMut(&mut A, T) + Send,
+    {
+        traced_fanout(len, || {
+            parallel::fanout_reduce(len, self.threads, init, make_scratch, work, fold)
+        })
     }
 
     /// [`parallel::try_fanout_ordered`] with this executor's thread count
@@ -172,14 +192,22 @@ impl Executor {
         FS: Fn() -> S + Sync,
         FW: Fn(&mut S, Range<usize>) -> T + Sync,
     {
-        let _span = inet_obs::span::enter("exec.fanout", len as u64);
-        let started = std::time::Instant::now();
-        let out = parallel::try_fanout_ordered(len, self.threads, &self.cancel, make_scratch, work);
-        inet_obs::default_registry()
-            .histogram("inet_exec_fanout_us", &[])
-            .observe(started.elapsed().as_micros() as u64);
-        out
+        traced_fanout(len, || {
+            parallel::try_fanout_ordered(len, self.threads, &self.cancel, make_scratch, work)
+        })
     }
+}
+
+/// Runs one fan-out of `len` items under an `exec.fanout` span and records
+/// its wall time in the `inet_exec_fanout_us` histogram.
+fn traced_fanout<R>(len: usize, fanout: impl FnOnce() -> R) -> R {
+    let _span = inet_obs::span::enter("exec.fanout", len as u64);
+    let started = std::time::Instant::now();
+    let out = fanout();
+    inet_obs::default_registry()
+        .histogram("inet_exec_fanout_us", &[])
+        .observe(started.elapsed().as_micros() as u64);
+    out
 }
 
 #[cfg(test)]

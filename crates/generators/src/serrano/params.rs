@@ -76,8 +76,10 @@ pub struct SerranoParams {
     /// trajectories of Eq. (3).
     pub stochastic_users: bool,
     /// Matching-loop guard: abort the per-iteration pairing after
-    /// `max_attempts_factor × (total deficit)` candidate draws (only ever
-    /// binds under extreme distance rejection).
+    /// `max_attempts_factor × (⌈total deficit⌉ + 2)` candidate draws. With
+    /// the distance constraint on, this budget does bind: at `paper_2001`
+    /// it ends 14–30% of the matching rounds with deficit left unmet, more
+    /// often as `n` grows.
     pub max_attempts_factor: usize,
 }
 

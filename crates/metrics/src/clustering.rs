@@ -33,7 +33,7 @@ impl ClusteringStats {
 
     /// [`ClusteringStats::measure`] with the triangle pass fanned out over
     /// `threads` work-stealing workers (node ranges). Triangle counts are
-    /// integers, so the merged result is identical for any thread count.
+    /// integers, so the folded result is identical for any thread count.
     ///
     /// Edges are oriented from lower to higher degree rank, so each
     /// triangle `r < s < t` is discovered exactly once by intersecting the
@@ -81,9 +81,12 @@ impl ClusteringStats {
         let offsets = &offsets[..];
 
         // Every corner of a found triangle can be any rank, so each chunk
-        // accumulates into a full-length partial, merged after the fan-out.
-        let partials = Executor::new(threads).map_ordered(
+        // accumulates into a full-length partial. The streaming fold adds
+        // each into the totals as it finishes, in chunk order, so about
+        // `threads` partials (about `threads × n` counts) are alive at once.
+        let tri_rank = Executor::new(threads).fold_ordered(
             n,
+            vec![0u64; n],
             || (),
             |(), range| {
                 let mut tri = vec![0u64; n];
@@ -111,13 +114,12 @@ impl ClusteringStats {
                 }
                 tri
             },
+            |tri_rank, part| {
+                for (slot, t) in tri_rank.iter_mut().zip(part) {
+                    *slot += t;
+                }
+            },
         );
-        let mut tri_rank = vec![0u64; n];
-        for part in partials {
-            for (slot, t) in tri_rank.iter_mut().zip(part) {
-                *slot += t;
-            }
-        }
         let triangles: Vec<u64> = (0..n).map(|v| tri_rank[rank_of[v] as usize]).collect();
         let triangle_count: u64 = triangles.iter().sum::<u64>() / 3;
         Self::derive(g, triangles, triangle_count)

@@ -32,9 +32,11 @@
 //!   are reset.
 //!
 //! Batches and sources fan out over the deterministic pool behind
-//! [`inet_exec::Executor::map_ordered`]; per-chunk partials are merged in
-//! chunk order, so every result is **bit-identical for any thread
-//! count**.
+//! [`inet_exec::Executor::fold_ordered`], which folds each chunk's partial
+//! into the totals in chunk order as the chunks finish, so every result is
+//! **bit-identical for any thread count**. A betweenness partial is a
+//! full-length `Vec<f64>`; the streaming fold keeps about `threads` of them
+//! alive (about `threads × n` floats) rather than one per chunk.
 
 use crate::paths::PathStats;
 use inet_exec::Executor;
@@ -283,7 +285,7 @@ impl Workspace {
     }
 }
 
-/// Per-chunk partial accumulations, merged in chunk order by [`sweep`].
+/// Per-chunk partial accumulations, folded in chunk order by [`sweep`].
 struct Partial {
     counts: Vec<u64>,
     unreachable: u64,
@@ -302,8 +304,40 @@ impl Partial {
     }
 }
 
+impl SweepTotals {
+    /// Nothing accumulated yet, over `n` nodes.
+    fn zero(n: usize) -> Self {
+        SweepTotals {
+            counts: Vec::new(),
+            unreachable_pairs: 0,
+            betweenness: vec![0.0; n],
+            closeness: vec![0.0; n],
+        }
+    }
+
+    /// Adds one chunk's partial. The sweep's fan-outs call this in chunk
+    /// order, so the float sums keep their order at any thread count.
+    fn absorb(&mut self, part: Partial) {
+        if part.counts.len() > self.counts.len() {
+            self.counts.resize(part.counts.len(), 0);
+        }
+        for (slot, c) in self.counts.iter_mut().zip(part.counts) {
+            *slot += c;
+        }
+        self.unreachable_pairs += part.unreachable;
+        if let Some(pbc) = part.bc {
+            for (slot, b) in self.betweenness.iter_mut().zip(pbc) {
+                *slot += b;
+            }
+        }
+        for (node, value) in part.closeness {
+            self.closeness[node as usize] = value;
+        }
+    }
+}
+
 /// Runs the fused traversal for every spec, fanning sources out over
-/// `threads` work-stealing workers, and merges the partials in chunk order.
+/// `threads` work-stealing workers, and folds the partials in chunk order.
 ///
 /// The graph is first relabeled **hub-first** (degree descending): on
 /// heavy-tailed graphs most shortest-path hops pass through the high-degree
@@ -321,12 +355,7 @@ impl Partial {
 pub(crate) fn sweep(g: &Csr, specs: &[SourceSpec], threads: usize) -> SweepTotals {
     let n = g.node_count();
     if n == 0 || specs.is_empty() {
-        return SweepTotals {
-            counts: Vec::new(),
-            unreachable_pairs: 0,
-            betweenness: vec![0.0; n],
-            closeness: vec![0.0; n],
-        };
+        return SweepTotals::zero(n);
     }
 
     // old_of[new] = old id, nodes sorted by (degree desc, id asc);
@@ -382,16 +411,11 @@ fn sweep_relabeled(g: &Csr, specs: &[SourceSpec], threads: usize) -> SweepTotals
         .collect();
     let needs_bc = heavy.iter().any(|s| s.betweenness);
 
-    let mut totals = SweepTotals {
-        counts: Vec::new(),
-        unreachable_pairs: 0,
-        betweenness: vec![0.0; n],
-        closeness: vec![0.0; n],
-    };
-
+    // Heavy partials fold first, then light ones, each in chunk order.
     let pool = Executor::new(threads);
-    let heavy_partials = pool.map_ordered(
+    let totals = pool.fold_ordered(
         heavy.len(),
+        SweepTotals::zero(n),
         || Workspace::new(n, needs_bc),
         |ws, range| {
             let mut part = Partial::empty();
@@ -400,10 +424,12 @@ fn sweep_relabeled(g: &Csr, specs: &[SourceSpec], threads: usize) -> SweepTotals
             }
             part
         },
+        SweepTotals::absorb,
     );
     let batches = light.len().div_ceil(BATCH);
-    let light_partials = pool.map_ordered(
+    pool.fold_ordered(
         batches,
+        totals,
         || BatchWorkspace::new(n),
         |ws, range| {
             let mut part = Partial::empty();
@@ -413,26 +439,8 @@ fn sweep_relabeled(g: &Csr, specs: &[SourceSpec], threads: usize) -> SweepTotals
             }
             part
         },
-    );
-
-    for part in heavy_partials.into_iter().chain(light_partials) {
-        if part.counts.len() > totals.counts.len() {
-            totals.counts.resize(part.counts.len(), 0);
-        }
-        for (slot, c) in totals.counts.iter_mut().zip(part.counts) {
-            *slot += c;
-        }
-        totals.unreachable_pairs += part.unreachable;
-        if let Some(pbc) = part.bc {
-            for (slot, b) in totals.betweenness.iter_mut().zip(pbc) {
-                *slot += b;
-            }
-        }
-        for (node, value) in part.closeness {
-            totals.closeness[node as usize] = value;
-        }
-    }
-    totals
+        SweepTotals::absorb,
+    )
 }
 
 /// Sources per bit-parallel BFS batch: one visited bit per `u64` lane.

@@ -30,7 +30,7 @@
 //! * Betweenness, path statistics, closeness, clustering, `k̄_nn`, the cycle
 //!   census and rich-club fan their work out over threads through the
 //!   dependency-free work-stealing module [`inet_exec::parallel`]; partial
-//!   results merge in a fixed chunk order, so every number is **bit-identical
+//!   results fold in a fixed chunk order, so every number is **bit-identical
 //!   for any thread count**.
 //! * [`mod@engine`] fuses path statistics, betweenness, and closeness into
 //!   one Brandes BFS sweep per sampled source instead of one sweep per
@@ -72,3 +72,12 @@ pub use robust::{
     measure_robust, measure_robust_cancellable, KernelSelection, KernelStatus, RobustOptions,
     RobustReport,
 };
+
+/// Serializes the unit tests that run the battery through its fence: the
+/// fault plan a `fault-inject` test installs is process-global, so its
+/// injected kernel failure must never fire inside another test's run.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}

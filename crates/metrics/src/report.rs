@@ -1,11 +1,6 @@
 //! One-call aggregate report of the headline topology scalars.
 
-use crate::clustering::ClusteringStats;
-use crate::degree::DegreeStats;
-use crate::engine::paths_and_betweenness;
-use crate::kcore::KCoreDecomposition;
-use crate::knn::KnnStats;
-use inet_graph::traversal::giant_fraction;
+use crate::robust::{measure_robust, RobustOptions};
 use inet_graph::Csr;
 
 /// Aggregated headline measures of a topology — the row a comparison table
@@ -74,34 +69,32 @@ impl TopologyReport {
 
     /// Measures everything with explicit effort options.
     ///
-    /// Path statistics and betweenness come from **one** fused BFS sweep
-    /// over the union of the two source sets
+    /// This is [`measure_robust`] with every kernel selected and no
+    /// deadline, so the plain and the robust battery run the same six
+    /// kernels by construction. Path statistics and betweenness come from
+    /// **one** fused BFS sweep over the union of the two source sets
     /// ([`crate::engine::paths_and_betweenness`]); clustering and degree
     /// correlations fan out over the same work-stealing pool.
+    ///
+    /// # Panics
+    ///
+    /// A kernel that panics is re-raised here, naming the kernel; use
+    /// [`measure_robust`] to get the other kernels' numbers instead.
     pub fn measure_with(g: &Csr, opt: ReportOptions) -> Self {
-        let degree = DegreeStats::measure(g);
-        let clustering = ClusteringStats::measure_threaded(g, opt.threads);
-        let knn = KnnStats::measure_threaded(g, opt.threads);
-        let kcore = KCoreDecomposition::measure(g);
-        let fused =
-            paths_and_betweenness(g, opt.path_sources, opt.betweenness_sources, opt.threads);
-        let (paths, bc) = (fused.paths, fused.betweenness);
-        TopologyReport {
-            nodes: g.node_count(),
-            edges: g.edge_count(),
-            mean_degree: degree.mean,
-            max_degree: degree.max,
-            gamma: degree.powerlaw_fit().map(|f| f.gamma),
-            mean_clustering: clustering.mean_local,
-            transitivity: clustering.transitivity,
-            assortativity: knn.assortativity,
-            mean_path_length: paths.mean,
-            diameter: paths.diameter,
-            coreness: kcore.coreness(),
-            giant_fraction: giant_fraction(g),
-            triangles: clustering.triangle_count,
-            max_betweenness: bc.iter().copied().fold(0.0, f64::max),
+        let robust = measure_robust(
+            g,
+            RobustOptions {
+                report: opt,
+                ..RobustOptions::default()
+            },
+        );
+        // Not a new failure mode: the plain battery has no status channel,
+        // so a kernel's caught panic propagates as it did unfenced.
+        #[allow(clippy::panic)]
+        if let Some((name, reason)) = robust.failures().first() {
+            panic!("metric kernel '{name}' failed: {reason}");
         }
+        robust.report
     }
 
     /// Renders the report as aligned `name: value` lines.
@@ -162,6 +155,7 @@ mod tests {
 
     #[test]
     fn report_on_er_graph_is_sane() {
+        let _l = crate::test_lock();
         let g = er_graph(300, 0.03, 1);
         let r = TopologyReport::measure(&g);
         assert_eq!(r.nodes, 300);
@@ -176,6 +170,7 @@ mod tests {
 
     #[test]
     fn exact_options_on_small_graph() {
+        let _l = crate::test_lock();
         let g = er_graph(40, 0.15, 2);
         let exact = TopologyReport::measure_with(
             &g,
@@ -207,6 +202,7 @@ mod tests {
 
     #[test]
     fn fused_report_matches_seed_two_pass() {
+        let _l = crate::test_lock();
         // Acceptance check: the single fused sweep behind measure_with must
         // reproduce the seed's two independent passes (paths, then Brandes).
         let g = er_graph(120, 0.05, 7);
@@ -226,6 +222,7 @@ mod tests {
 
     #[test]
     fn report_is_bit_identical_across_thread_counts() {
+        let _l = crate::test_lock();
         let g = er_graph(150, 0.04, 4);
         let base = TopologyReport::measure_with(
             &g,
@@ -257,6 +254,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_fields() {
+        let _l = crate::test_lock();
         let g = er_graph(50, 0.1, 3);
         let text = TopologyReport::measure(&g).render();
         for needle in [
@@ -276,6 +274,7 @@ mod tests {
 
     #[test]
     fn empty_graph_report() {
+        let _l = crate::test_lock();
         let r = TopologyReport::measure(&Csr::from_edges(0, &[]));
         assert_eq!(r.nodes, 0);
         assert_eq!(r.edges, 0);
@@ -299,6 +298,7 @@ mod tests {
 
     #[test]
     fn empty_graph_report_is_zero_not_nan() {
+        let _l = crate::test_lock();
         // Regression: the percolation engine hands `measure` exactly these
         // degenerate graphs. Every float must be finite (no 0/0), and the
         // natural zeros must actually be zero.
@@ -316,6 +316,7 @@ mod tests {
 
     #[test]
     fn fully_disconnected_graph_report_is_zero_not_nan() {
+        let _l = crate::test_lock();
         // 40 isolated nodes: no edges, no paths, no triangles, no core.
         let r = TopologyReport::measure(&Csr::from_edges(40, &[]));
         assert_eq!(r.nodes, 40);
@@ -334,6 +335,7 @@ mod tests {
 
     #[test]
     fn disconnected_components_report_stays_finite() {
+        let _l = crate::test_lock();
         // Two components + isolated nodes, measured WITHOUT extracting the
         // giant first — unreachable BFS targets must not poison the means.
         let g = Csr::from_edges(12, &[(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7)]);

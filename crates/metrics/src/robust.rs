@@ -1,7 +1,8 @@
 //! Panic-isolated, deadline-aware wrapper around the metrics battery.
 //!
-//! [`measure_robust`] runs the same six kernels as
-//! [`TopologyReport::measure_with`], but each kernel is fenced:
+//! [`measure_robust`] runs the six kernels of the metrics battery, each
+//! one fenced ([`TopologyReport::measure_with`] is this battery with every
+//! kernel selected, re-raising a failed kernel's panic):
 //!
 //! * a panic inside one kernel is caught and surfaced as
 //!   [`KernelStatus::Failed`] while every other kernel still reports its
@@ -16,9 +17,9 @@
 //!   (scenario pipelines measure only what they ask for); deselected
 //!   kernels are annotated [`KernelStatus::Skipped`].
 //!
-//! The numeric content of the report stays bit-identical to the plain
-//! battery for every thread count; only the status annotations carry
-//! timing, so determinism checks compare [`RobustReport::report`].
+//! The numeric content of the report is bit-identical to the kernels
+//! called directly, for every thread count; only the status annotations
+//! carry timing, so determinism checks compare [`RobustReport::report`].
 
 use crate::clustering::ClusteringStats;
 use crate::degree::DegreeStats;
@@ -354,15 +355,42 @@ mod tests {
         Csr::from_edges(n, &edges)
     }
 
+    /// The battery with every kernel called directly, outside any fence:
+    /// the oracle the fenced runs must match bit for bit.
+    fn direct(g: &Csr, o: ReportOptions) -> TopologyReport {
+        let degree = DegreeStats::measure(g);
+        let clustering = ClusteringStats::measure_threaded(g, o.threads);
+        let knn = KnnStats::measure_threaded(g, o.threads);
+        let kcore = KCoreDecomposition::measure(g);
+        let fused = paths_and_betweenness(g, o.path_sources, o.betweenness_sources, o.threads);
+        TopologyReport {
+            nodes: g.node_count(),
+            edges: g.edge_count(),
+            mean_degree: degree.mean,
+            max_degree: degree.max,
+            gamma: degree.powerlaw_fit().map(|f| f.gamma),
+            mean_clustering: clustering.mean_local,
+            transitivity: clustering.transitivity,
+            assortativity: knn.assortativity,
+            mean_path_length: fused.paths.mean,
+            diameter: fused.paths.diameter,
+            coreness: kcore.coreness(),
+            giant_fraction: giant_fraction(g),
+            triangles: clustering.triangle_count,
+            max_betweenness: fused.betweenness.iter().copied().fold(0.0, f64::max),
+        }
+    }
+
     #[test]
     fn matches_the_plain_battery_when_nothing_fails() {
+        let _l = crate::test_lock();
         let g = ring(60);
         let opt = ReportOptions {
             path_sources: 20,
             betweenness_sources: 10,
             threads: 2,
         };
-        let plain = TopologyReport::measure_with(&g, opt);
+        let plain = direct(&g, opt);
         let robust = measure_robust(
             &g,
             RobustOptions {
@@ -378,6 +406,7 @@ mod tests {
 
     #[test]
     fn report_field_is_thread_count_invariant() {
+        let _l = crate::test_lock();
         let g = ring(80);
         let make = |threads| {
             measure_robust(
@@ -402,6 +431,7 @@ mod tests {
 
     #[test]
     fn zero_deadline_marks_kernels_degraded_not_failed() {
+        let _l = crate::test_lock();
         // With a 0 ms soft deadline every kernel overruns, but all values
         // must still be exact — degradation is an annotation, not a cut.
         let g = ring(40);
@@ -419,7 +449,7 @@ mod tests {
             },
         );
         assert!(robust.fully_ok());
-        assert_eq!(robust.report, TopologyReport::measure_with(&g, opt));
+        assert_eq!(robust.report, direct(&g, opt));
         assert!(robust
             .kernels
             .iter()
@@ -433,13 +463,14 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn injected_kernel_failure_yields_partial_report() {
+        let _l = crate::test_lock();
         let g = ring(50);
         let opt = ReportOptions {
             path_sources: 10,
             betweenness_sources: 5,
             threads: 2,
         };
-        let plain = TopologyReport::measure_with(&g, opt);
+        let plain = direct(&g, opt);
         let _guard = inet_fault::install(inet_fault::FaultPlan::single(
             "metrics.kernel",
             Some(1), // the clustering kernel
@@ -466,10 +497,21 @@ mod tests {
         assert_eq!(robust.report.diameter, plain.diameter);
         assert_eq!(robust.report.giant_fraction, plain.giant_fraction);
         assert!(robust.render_status().contains("FAILED"));
+        // The plain battery has no status channel: it re-raises instead.
+        let _guard = inet_fault::install(inet_fault::FaultPlan::single(
+            "metrics.kernel",
+            Some(1),
+            inet_fault::FaultAction::Error,
+        ));
+        let raised = std::panic::catch_unwind(|| TopologyReport::measure_with(&g, opt))
+            .expect_err("measure_with must re-raise a failed kernel");
+        assert!(inet_exec::PanicFence::message(&*raised)
+            .starts_with("metric kernel 'clustering' failed: "));
     }
 
     #[test]
     fn status_render_lists_every_kernel() {
+        let _l = crate::test_lock();
         let g = ring(20);
         let text = measure_robust(&g, RobustOptions::default()).render_status();
         for name in KERNEL_NAMES {
@@ -479,13 +521,14 @@ mod tests {
 
     #[test]
     fn selection_skips_kernels_without_losing_the_rest() {
+        let _l = crate::test_lock();
         let g = ring(60);
         let opt = ReportOptions {
             path_sources: 20,
             betweenness_sources: 10,
             threads: 2,
         };
-        let plain = TopologyReport::measure_with(&g, opt);
+        let plain = direct(&g, opt);
         let selection = KernelSelection::from_names(&["degree", "giant"]).expect("known kernels");
         let robust = measure_robust(
             &g,
@@ -519,6 +562,7 @@ mod tests {
 
     #[test]
     fn pre_cancelled_measurement_marks_every_kernel_cancelled() {
+        let _l = crate::test_lock();
         let g = ring(30);
         let token = CancelToken::new();
         token.cancel();
@@ -536,6 +580,7 @@ mod tests {
 
     #[test]
     fn fresh_token_changes_nothing() {
+        let _l = crate::test_lock();
         let g = ring(40);
         let opt = RobustOptions::default();
         let plain = measure_robust(&g, opt);
@@ -546,6 +591,7 @@ mod tests {
 
     #[test]
     fn deadline_exceeded_lists_degraded_kernels() {
+        let _l = crate::test_lock();
         let g = ring(40);
         let robust = measure_robust(
             &g,

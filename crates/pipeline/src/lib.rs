@@ -47,7 +47,7 @@ pub mod telemetry;
 pub mod toml;
 
 pub use run::{run_scenario, run_scenario_with, ExecOptions, RunOutcome};
-pub use runstore::{list_runs, scan_runs, CommitRecord, RunInfo, RunScan, RunStore};
+pub use runstore::{scan_runs, CommitRecord, RunInfo, RunScan, RunStore};
 pub use scenario::{AttackSpec, GeneratorSpec, MeasureSpec, ReportSpec, Scenario, Source};
 pub use service::{ServeExit, Service, ServiceConfig};
 pub use telemetry::{Telemetry, TELEMETRY_FILE};

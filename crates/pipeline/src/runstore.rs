@@ -248,11 +248,6 @@ impl RunStore {
         &self.manifest.overrides
     }
 
-    /// The scenario file path the run was started from (informational).
-    pub fn scenario_file(&self) -> &str {
-        &self.manifest.scenario_file
-    }
-
     fn render_manifest(&self) -> String {
         let overrides = self
             .manifest
@@ -506,13 +501,6 @@ pub fn scan_runs(root: &Path) -> RunScan {
     scan
 }
 
-/// Lists every readable run under `root`, sorted by id. Directories
-/// without a parseable manifest are skipped (see [`scan_runs`] for the
-/// variant that reports them).
-pub fn list_runs(root: &Path) -> Vec<RunInfo> {
-    scan_runs(root).runs
-}
-
 fn parse_manifest(text: &str) -> Option<Manifest> {
     let obj = parse_flat(text)?;
     Some(Manifest {
@@ -739,7 +727,7 @@ mod tests {
         assert!(store.id().starts_with("serrano-attack-"), "{}", store.id());
         let reopened = RunStore::open(&root, store.id()).unwrap();
         assert_eq!(reopened.overrides(), &sets[..]);
-        assert_eq!(reopened.scenario_file(), "s.toml");
+        assert_eq!(reopened.manifest.scenario_file, "s.toml");
         assert_eq!(reopened.scenario_text().unwrap(), DOC);
         let _ = fs::remove_dir_all(&root);
     }
@@ -922,17 +910,18 @@ mod tests {
     }
 
     #[test]
-    fn list_runs_reports_progress() {
+    fn scan_runs_reports_progress() {
         let _lock = crate::test_lock();
         let root = temp_root("list");
-        assert!(list_runs(&root.join("void")).is_empty());
+        let void = scan_runs(&root.join("void"));
+        assert!(void.runs.is_empty() && void.skipped.is_empty());
         let a = RunStore::create(&root, "Alpha Run", DOC, "s.toml", &[]).unwrap();
         let b = RunStore::create(&root, "beta", DOC, "s.toml", &[]).unwrap();
         a.commit_bytes(0, "source.edges", b"x", "").unwrap();
         for stage in 0..STAGE_NAMES.len() {
             b.commit_bytes(stage, "a.bin", b"x", "").unwrap();
         }
-        let infos = list_runs(&root);
+        let infos = scan_runs(&root).runs;
         assert_eq!(infos.len(), 2);
         let alpha = infos.iter().find(|i| i.id == a.id()).unwrap();
         assert_eq!(alpha.name, "Alpha Run");
@@ -969,8 +958,6 @@ mod tests {
             "{:?}",
             scan.skipped
         );
-        // The plain listing stays corruption-tolerant too.
-        assert_eq!(list_runs(&root).len(), 1);
         let _ = fs::remove_dir_all(&root);
     }
 
