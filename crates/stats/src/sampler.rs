@@ -12,7 +12,7 @@ use crate::rng::StdRng;
 ///
 /// Weights are `f64 ≥ 0`. Items are addressed by their insertion index.
 /// Draws run in `O(log n)`, as do weight updates and appends.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicWeightedSampler {
     /// Fenwick tree of prefix sums (1-based internally).
     tree: Vec<f64>,
@@ -137,19 +137,110 @@ impl DynamicWeightedSampler {
         Some(self.find(target))
     }
 
-    /// Finds the smallest index whose prefix sum exceeds `target`.
-    fn find(&self, mut target: f64) -> usize {
+    /// Finds the smallest index whose prefix sum exceeds `target`: the item
+    /// [`sample`](Self::sample) returns for a drawn `target`.
+    ///
+    /// Monotone: `a <= b` implies `find(a) <= find(b)`, because the descent
+    /// only ever subtracts the same tree values from both targets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sampler is empty.
+    pub fn find(&self, target: f64) -> usize {
+        self.descend(target, |_, node| self.tree[node], |k| self.weights[k])
+    }
+
+    /// The total that `set_weight(i, 0.0)` would leave, computed without the
+    /// write, with the same negative-total guard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn masked_total(&self, i: usize) -> f64 {
+        let total = self.total + (0.0 - self.weights[i]);
+        if total < 0.0 {
+            self.weights
+                .iter()
+                .enumerate()
+                .map(|(k, &w)| if k == i { 0.0 } else { w })
+                .sum()
+        } else {
+            total
+        }
+    }
+
+    /// `find(target)` as it would run after `set_weight(i, 0.0)`, computed
+    /// without the write: `i`'s weight is subtracted from the tree nodes on
+    /// its update path as they are read, and `i` reads as weight 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn find_masked(&self, i: usize, target: f64) -> usize {
+        let down = 0.0 - self.weights[i];
+        // Node `node` of the descent covers items `pos..node` (0-based), so
+        // it lies on `i`'s update path exactly when `i` is in that range.
+        let node = |pos: usize, node: usize| {
+            if pos <= i && i < node {
+                self.tree[node] + down
+            } else {
+                self.tree[node]
+            }
+        };
+        self.descend(target, node, |k| if k == i { 0.0 } else { self.weights[k] })
+    }
+
+    /// Applies the rounding of `set_weight(i, 0.0)` followed by
+    /// `set_weight(i, w)`, with `w` item `i`'s weight, and reports whether
+    /// any bit of the tree or the total changed. `(x − w) + w` need not give
+    /// back `x`, so the pair is not a no-op in general.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn round_trip(&mut self, i: usize) -> bool {
+        let w = self.weights[i];
+        let (down, up) = (0.0 - w, w - 0.0);
+        let mut changed = false;
+        let mut idx = i + 1;
+        while idx < self.tree.len() {
+            let x = self.tree[idx];
+            let y = (x + down) + up;
+            changed |= x.to_bits() != y.to_bits();
+            self.tree[idx] = y;
+            idx += idx & idx.wrapping_neg();
+        }
+        // The masked total is not negative, so `set_weight`'s guard cannot
+        // fire on the way back up.
+        let total = self.masked_total(i) + up;
+        changed |= total.to_bits() != self.total.to_bits();
+        self.total = total;
+        changed
+    }
+
+    /// The Fenwick descent behind [`find`](Self::find) and
+    /// [`find_masked`](Self::find_masked): `node(pos, next)` reads tree node
+    /// `next` with `pos` walked so far, and `weight(k)` reads item `k`.
+    fn descend(
+        &self,
+        mut target: f64,
+        node: impl Fn(usize, usize) -> f64,
+        weight: impl Fn(usize) -> f64,
+    ) -> usize {
         let n = self.weights.len();
         let mut pos = 0usize; // 1-based position walked so far
         let mut step = n.next_power_of_two();
         while step > 0 {
             let next = pos + step;
-            // tree[next] holds the sum of the range (pos, next] at this
+            // Node `next` holds the sum of the range (pos, next] at this
             // point of the descent; skip the whole range when the target
             // lies beyond it.
-            if next <= n && self.tree[next] <= target {
-                target -= self.tree[next];
-                pos = next;
+            if next <= n {
+                let sum = node(pos, next);
+                if sum <= target {
+                    target -= sum;
+                    pos = next;
+                }
             }
             step >>= 1;
         }
@@ -157,11 +248,11 @@ impl DynamicWeightedSampler {
         // floating-point edge cases can land one past the end or on a
         // zero-weight item — walk forward to the next positive weight.
         let mut i = pos.min(n - 1);
-        while self.weights[i] <= 0.0 && i + 1 < n {
+        while weight(i) <= 0.0 && i + 1 < n {
             i += 1;
         }
         // If everything to the right is zero-weight, walk back.
-        while self.weights[i] <= 0.0 && i > 0 {
+        while weight(i) <= 0.0 && i > 0 {
             i -= 1;
         }
         i
@@ -330,6 +421,89 @@ mod tests {
         // Items 50..100 carry weights 51..=100 = 3775 of 5050 total.
         let frac = high as f64 / 20_000.0;
         assert!((frac - 3775.0 / 5050.0).abs() < 0.02, "frac = {frac}");
+    }
+
+    /// Tree and total bits: the whole state that a draw reads besides the
+    /// weights.
+    fn bits(s: &DynamicWeightedSampler) -> (Vec<u64>, u64) {
+        (
+            s.tree.iter().map(|x| x.to_bits()).collect(),
+            s.total.to_bits(),
+        )
+    }
+
+    /// A sampler with zero weights that has carried 10 000 random weight
+    /// changes, so its tree and total hold rounding residues.
+    fn worn_sampler(rng: &mut StdRng) -> DynamicWeightedSampler {
+        let n = rng.gen_range(2..120usize);
+        let weight = |rng: &mut StdRng| match rng.gen_range(0..4usize) {
+            0 => 0.0,
+            1 => rng.gen_range(0.0..1.0),
+            2 => rng.gen_range(1.0..1e3),
+            _ => rng.gen_range(0..40usize) as f64 + 1.0,
+        };
+        let initial: Vec<f64> = (0..n).map(|_| weight(rng)).collect();
+        let mut s = DynamicWeightedSampler::from_weights(&initial);
+        for _ in 0..10_000 {
+            let i = rng.gen_range(0..n);
+            let w = weight(rng);
+            s.set_weight(i, w);
+        }
+        s
+    }
+
+    #[test]
+    fn masked_reads_equal_mutate_sample_restore() {
+        // Round trips seen that changed a bit, and that changed none.
+        let mut seen = [0usize; 2];
+        crate::rng::check(24, |rng| {
+            let s = worn_sampler(rng);
+            let mut forced = s.clone();
+            // A drifted total below one weight exercises the negative-total
+            // guard of both paths.
+            let heaviest = (0..s.len())
+                .max_by(|&a, &b| s.weight(a).total_cmp(&s.weight(b)))
+                .unwrap();
+            forced.total = s.weight(heaviest) * 0.5;
+            for s in [s, forced] {
+                for i in 0..s.len() {
+                    let mut mutated = s.clone();
+                    mutated.set_weight(i, 0.0);
+                    let masked = s.masked_total(i);
+                    assert_eq!(masked.to_bits(), mutated.total().to_bits(), "item {i}");
+                    if masked > 0.0 {
+                        let mut targets: Vec<f64> =
+                            (0..64).map(|_| rng.gen_range(0.0..masked)).collect();
+                        targets.extend([0.0, masked * (1.0 - f64::EPSILON)]);
+                        for x in targets {
+                            assert_eq!(s.find_masked(i, x), mutated.find(x), "item {i} x {x}");
+                        }
+                    }
+                    mutated.set_weight(i, s.weight(i));
+                    let mut tripped = s.clone();
+                    let changed = tripped.round_trip(i);
+                    assert_eq!(bits(&tripped), bits(&mutated), "item {i}");
+                    assert_eq!(changed, bits(&tripped) != bits(&s), "item {i}");
+                    assert_eq!(tripped.weights, s.weights);
+                    seen[usize::from(changed)] += 1;
+                }
+            }
+        });
+        assert!(seen[0] > 0 && seen[1] > 0, "{seen:?}");
+    }
+
+    #[test]
+    fn find_is_monotone_in_its_target() {
+        crate::rng::check(24, |rng| {
+            let s = worn_sampler(rng);
+            let mut targets: Vec<f64> = (0..2_000)
+                .map(|_| rng.gen_range(0.0..s.total().max(1.0)))
+                .collect();
+            targets.sort_by(f64::total_cmp);
+            for pair in targets.windows(2) {
+                assert!(s.find(pair[0]) <= s.find(pair[1]), "{pair:?}");
+            }
+        });
     }
 
     #[test]
