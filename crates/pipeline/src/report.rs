@@ -8,8 +8,9 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use inet_exec::Executor;
 use inet_metrics::RobustReport;
-use inet_resilience::{AttackCurve, SweepResult};
+use inet_resilience::{write_points, AttackCurve, PointFormat, SweepResult};
 
 use crate::run::RunOutcome;
 use crate::scenario::Scenario;
@@ -50,27 +51,43 @@ pub fn resumed_line(result: &SweepResult, checkpoint: Option<&Path>) -> Option<S
 
 /// One attack curve as CSV, with the legacy header.
 pub fn curve_csv(curve: &AttackCurve) -> String {
-    let mut csv = String::from("removed,giant,edges,mean_component\n");
-    for p in &curve.points {
-        let _ = writeln!(
-            csv,
-            "{},{},{},{}",
-            p.removed, p.giant, p.edges, p.mean_component
-        );
-    }
+    let mut csv = String::new();
+    push_curve_csv(&mut csv, curve);
     csv
 }
 
-/// Writes one `{strategy}-r{replica}.csv` per cell into `dir`.
-pub fn write_curves(dir: &Path, result: &SweepResult) -> Result<(), PipelineError> {
+/// Appends `curve` to `out` as [`curve_csv`] renders it.
+fn push_curve_csv(out: &mut String, curve: &AttackCurve) {
+    out.push_str("removed,giant,edges,mean_component\n");
+    write_points(out, &curve.points, PointFormat::Csv);
+}
+
+/// Writes one `{strategy}-r{replica}.csv` per cell into `dir`, rendering
+/// and writing the files on `threads` workers. Each worker reuses one
+/// buffer, so about `threads` CSVs are in memory at once. On failure the
+/// error names the first failing cell in canonical order.
+pub fn write_curves(dir: &Path, result: &SweepResult, threads: usize) -> Result<(), PipelineError> {
     std::fs::create_dir_all(dir)
         .map_err(|e| PipelineError::Data(format!("curves: {}: {e}", dir.display())))?;
-    for cell in &result.cells {
-        let path = dir.join(format!("{}-r{}.csv", cell.strategy, cell.replica));
-        std::fs::write(&path, curve_csv(&cell.curve))
-            .map_err(|e| PipelineError::Data(format!("curves: {}: {e}", path.display())))?;
-    }
-    Ok(())
+    Executor::new(threads).fold_ordered(
+        result.cells.len(),
+        Ok(()),
+        String::new,
+        |csv, range| {
+            result.cells[range].iter().try_for_each(|cell| {
+                let path = dir.join(format!("{}-r{}.csv", cell.strategy, cell.replica));
+                csv.clear();
+                push_curve_csv(csv, &cell.curve);
+                std::fs::write(&path, csv.as_bytes())
+                    .map_err(|e| PipelineError::Data(format!("curves: {}: {e}", path.display())))
+            })
+        },
+        |first, chunk| {
+            if first.is_ok() {
+                *first = chunk;
+            }
+        },
+    )
 }
 
 /// Creates the parent directory of a file sink, so scenarios can point
@@ -185,6 +202,7 @@ pub(crate) fn emit(
     scenario: &Scenario,
     graph: &inet_graph::MultiGraph,
     outcome: &mut RunOutcome,
+    threads: usize,
 ) -> Result<(), PipelineError> {
     outcome.summary = render_summary(scenario, outcome);
     if let Some(path) = &scenario.report.edge_list {
@@ -202,7 +220,7 @@ pub(crate) fn emit(
         }
     }
     if let (Some(dir), Some(sweep)) = (&scenario.report.curves, &outcome.sweep) {
-        write_curves(dir, sweep)?;
+        write_curves(dir, sweep, threads)?;
         outcome.written.push(format!("curves -> {}", dir.display()));
     }
     if let Some(path) = &scenario.report.summary {
@@ -267,6 +285,122 @@ mod tests {
     fn curve_csv_has_header_and_rows() {
         let csv = curve_csv(&sweep_with_one_cell().cells[0].curve);
         assert_eq!(csv, "removed,giant,edges,mean_component\n1,9,15,4.5\n");
+    }
+
+    /// `curve_csv` as it was written before the shared encoder, kept
+    /// verbatim as the byte-identity oracle.
+    fn curve_csv_oracle(curve: &AttackCurve) -> String {
+        let mut csv = String::from("removed,giant,edges,mean_component\n");
+        for p in &curve.points {
+            let _ = writeln!(
+                csv,
+                "{},{},{},{}",
+                p.removed, p.giant, p.edges, p.mean_component
+            );
+        }
+        csv
+    }
+
+    /// A random curve: empty, one-point or long; counts up to `usize::MAX`;
+    /// `⟨s⟩` mixing 0.0, integral values, fractions below 1e-4, values at
+    /// and above 1e16, and long runs of one value.
+    fn random_curve(rng: &mut inet_stats::rng::StdRng) -> AttackCurve {
+        let len = [0, 1, rng.gen_range(2..400usize)][rng.gen_range(0..3usize)];
+        let mut mean = 0.0;
+        let count = |rng: &mut inet_stats::rng::StdRng| match rng.gen_range(0..3usize) {
+            0 => usize::MAX - rng.gen_range(0..3usize),
+            _ => (rng.next_u64() >> rng.gen_range(0..64u64)) as usize,
+        };
+        let points = (0..len)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    mean = match rng.gen_range(0..6usize) {
+                        0 => 0.0,
+                        1 => rng.gen_range(1..100_000usize) as f64,
+                        2 => rng.gen_range(0.0..1e-4) / rng.gen_range(1..1000usize) as f64,
+                        3 => 1e16 * rng.gen_range(1.0..1e6),
+                        4 => [1e16, 9.999_999_999_999_998e15, 1e-4][rng.gen_range(0..3usize)],
+                        _ => rng.gen_range(0.0..500.0),
+                    };
+                }
+                CurvePoint {
+                    removed: count(rng),
+                    giant: count(rng),
+                    edges: count(rng),
+                    mean_component: mean,
+                }
+            })
+            .collect();
+        AttackCurve {
+            nodes: len,
+            edges: 0,
+            points,
+            critical_fraction: 0.0,
+        }
+    }
+
+    #[test]
+    fn curve_csv_matches_the_write_oracle_on_random_curves() {
+        inet_stats::rng::check(300, |rng| {
+            let curve = random_curve(rng);
+            assert_eq!(curve_csv(&curve), curve_csv_oracle(&curve));
+        });
+    }
+
+    fn sweep_of(cells: usize) -> SweepResult {
+        let mut rng = inet_stats::rng::seeded_rng(5);
+        SweepResult {
+            cells: (0..cells)
+                .map(|replica| CellRecord {
+                    strategy: "random".to_string(),
+                    replica,
+                    resampled: false,
+                    curve: random_curve(&mut rng),
+                })
+                .collect(),
+            ..sweep_with_one_cell()
+        }
+    }
+
+    fn tmp_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir()
+            .join("inet-pipeline-report-tests")
+            .join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn parallel_curve_files_equal_curve_csv_at_any_thread_count() {
+        let sweep = sweep_of(40);
+        for threads in [1, 2, 7] {
+            let dir = tmp_dir(&format!("curves-{threads}"));
+            write_curves(&dir, &sweep, threads).unwrap();
+            for cell in &sweep.cells {
+                let path = dir.join(format!("random-r{}.csv", cell.replica));
+                assert_eq!(
+                    std::fs::read_to_string(&path).unwrap(),
+                    curve_csv(&cell.curve),
+                    "threads {threads}"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn curve_write_failure_names_the_first_failing_cell() {
+        let sweep = sweep_of(40);
+        for threads in [1, 2, 7] {
+            let dir = tmp_dir(&format!("failing-{threads}"));
+            // A directory where a file should go makes that write fail.
+            for replica in [37, 9, 21] {
+                std::fs::create_dir_all(dir.join(format!("random-r{replica}.csv"))).unwrap();
+            }
+            let err = write_curves(&dir, &sweep, threads).unwrap_err().to_string();
+            assert!(err.contains("random-r9.csv"), "threads {threads}: {err}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -361,7 +361,7 @@ fn run_scenario_inner(
         if let Some(st) = store {
             st.begin(3)?;
         }
-        report::emit(scenario, &graph, &mut outcome)?;
+        report::emit(scenario, &graph, &mut outcome, threads)?;
         if let Some(st) = store {
             st.commit_bytes(
                 3,

@@ -51,6 +51,7 @@
 //! Version-1 files (one whole JSON document, rewritten after every cell)
 //! are refused with a one-line error; delete them to start over.
 
+use crate::encode::{write_points, PointFormat};
 use crate::percolation::{AttackCurve, CurvePoint};
 /// Re-exported from [`inet_exec::durable`], where the checksum lives.
 pub use inet_exec::durable::fnv64;
@@ -207,16 +208,7 @@ impl CellRecord {
             c.edges,
             c.critical_fraction,
         );
-        for (j, p) in c.points.iter().enumerate() {
-            if j > 0 {
-                body.push(' ');
-            }
-            let _ = write!(
-                body,
-                "{} {} {} {:?}",
-                p.removed, p.giant, p.edges, p.mean_component
-            );
-        }
+        write_points(&mut body, &c.points, PointFormat::Log);
         seal(&body)
     }
 }
@@ -290,13 +282,6 @@ impl Checkpoint {
             expected: format!("{expected_fingerprint:016x}"),
             found: format!("{:016x}", self.fingerprint),
         })
-    }
-
-    /// `true` if a cell for `(strategy, replica)` is already recorded.
-    pub fn has_cell(&self, strategy: &str, replica: usize) -> bool {
-        self.cells
-            .iter()
-            .any(|c| c.strategy == strategy && c.replica == replica)
     }
 
     /// The header record, newline included.
@@ -623,6 +608,53 @@ mod tests {
         assert_eq!(Checkpoint::parse(V2).unwrap(), sample_checkpoint());
     }
 
+    /// `CellRecord::log_line` as it was written before the shared encoder,
+    /// kept verbatim as the byte-identity oracle.
+    fn log_line_oracle(cell: &CellRecord) -> String {
+        let c = &cell.curve;
+        let mut body = String::with_capacity(64 + 32 * c.points.len());
+        let _ = write!(
+            body,
+            "cell\t{}\t{}\t{}\t{}\t{}\t{:?}\t",
+            escape(&cell.strategy),
+            cell.replica,
+            u8::from(cell.resampled),
+            c.nodes,
+            c.edges,
+            c.critical_fraction,
+        );
+        for (j, p) in c.points.iter().enumerate() {
+            if j > 0 {
+                body.push(' ');
+            }
+            let _ = write!(
+                body,
+                "{} {} {} {:?}",
+                p.removed, p.giant, p.edges, p.mean_component
+            );
+        }
+        seal(&body)
+    }
+
+    #[test]
+    fn log_line_matches_the_write_oracle_on_random_curves() {
+        inet_stats::rng::check(300, |rng| {
+            let points = crate::encode::tests::random_points(rng);
+            let cell = CellRecord {
+                strategy: "kcore-recalc".to_string(),
+                replica: rng.gen_range(0..1000usize),
+                resampled: rng.gen_bool(0.5),
+                curve: AttackCurve {
+                    nodes: points.len(),
+                    edges: rng.gen_range(0..100_000usize),
+                    points,
+                    critical_fraction: rng.gen_range(0.0..1.0),
+                },
+            };
+            assert_eq!(cell.log_line(), log_line_oracle(&cell));
+        });
+    }
+
     #[test]
     fn empty_checkpoint_round_trips() {
         let ck = Checkpoint::new(7, "");
@@ -661,15 +693,6 @@ mod tests {
         // Refusal leaves the file untouched.
         assert!(std::fs::read_to_string(&path).unwrap().starts_with('{'));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn has_cell_matches_strategy_and_replica() {
-        let ck = sample_checkpoint();
-        assert!(ck.has_cell("degree", 0));
-        assert!(ck.has_cell("random", 2));
-        assert!(!ck.has_cell("degree", 1));
-        assert!(!ck.has_cell("kcore", 0));
     }
 
     #[test]

@@ -25,6 +25,9 @@
 //!   a process abort), and an append-only checkpoint log ([`checkpoint`])
 //!   so an interrupted sweep resumes instead of restarting.
 //!
+//! [`encode`] is the one text encoder for curve points, shared by the
+//! checkpoint's records and the pipeline's curve CSVs.
+//!
 //! Everything is bit-identical for any thread count: cell seeds derive
 //! from the cell's position in the configuration, curves are integer
 //! union-find arithmetic, and outputs are canonically ordered.
@@ -33,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod encode;
 pub mod percolation;
 pub mod strategy;
 pub mod sweep;
@@ -41,6 +45,7 @@ pub use checkpoint::{
     fingerprint, CellRecord, Checkpoint, CheckpointError, FailureRecord, LoadedCheckpoint,
     RetryPolicy,
 };
+pub use encode::{write_points, PointFormat};
 pub use percolation::{percolation_curve, AttackCurve, CurvePoint};
 pub use strategy::{Strategy, STRATEGY_NAMES};
 pub use sweep::{run_sweep, SweepConfig, SweepError, SweepResult};

@@ -103,36 +103,33 @@ impl Strategy {
                 (0..g.node_count()).map(|v| g.degree(v) as u64).collect()
             }),
             Strategy::Degree { recalc: true } => adaptive_degree_order(g),
-            Strategy::KCore { recalc } => {
-                let score = |g: &Csr| -> Vec<u64> {
-                    let cores = KCoreDecomposition::measure(g).core;
-                    // Core number dominates; degree breaks ties within a shell.
-                    (0..g.node_count())
-                        .map(|v| ((cores[v] as u64) << 32) | g.degree(v) as u64)
-                        .collect()
-                };
-                if recalc {
-                    batched_order(g, score)
-                } else {
-                    static_order(g, score)
-                }
+            Strategy::KCore { recalc: false } => static_order(g, kcore_score),
+            Strategy::KCore { recalc: true } => batched_order(g, kcore_score),
+            Strategy::Betweenness { recalc: false } => {
+                static_order(g, |g| betweenness_score(g, bc_sources))
             }
-            Strategy::Betweenness { recalc } => {
-                let score = move |g: &Csr| -> Vec<u64> {
-                    // Monotone f64 → u64 key (scores are always ≥ 0).
-                    betweenness_sampled(g, bc_sources.max(1), 1)
-                        .into_iter()
-                        .map(|b| b.to_bits())
-                        .collect()
-                };
-                if recalc {
-                    batched_order(g, score)
-                } else {
-                    static_order(g, score)
-                }
+            Strategy::Betweenness { recalc: true } => {
+                batched_order(g, |g| betweenness_score(g, bc_sources))
             }
         }
     }
+}
+
+/// Core number first, degree breaking ties within a shell.
+fn kcore_score(g: &Csr) -> Vec<u64> {
+    let cores = KCoreDecomposition::measure(g).core;
+    (0..g.node_count())
+        .map(|v| ((cores[v] as u64) << 32) | g.degree(v) as u64)
+        .collect()
+}
+
+/// Sampled Brandes betweenness as a monotone f64 → u64 key (scores are
+/// always ≥ 0).
+fn betweenness_score(g: &Csr, bc_sources: usize) -> Vec<u64> {
+    betweenness_sampled(g, bc_sources.max(1), 1)
+        .into_iter()
+        .map(|b| b.to_bits())
+        .collect()
 }
 
 /// Seeded uniform permutation.
@@ -183,6 +180,11 @@ fn adaptive_degree_order(g: &Csr) -> Vec<u32> {
 /// Batched adaptive order: re-score the surviving induced subgraph every
 /// `⌈N/RECALC_BATCHES⌉` removals and take the next batch from the fresh
 /// ranking (descending score, ascending original id on ties).
+///
+/// Only the batch is sorted: `select_nth_unstable_by_key` moves the
+/// `batch` best survivors to the front first. Original ids are distinct,
+/// so the keys are too, and the batch comes out exactly as a full sort
+/// would order it.
 fn batched_order(g: &Csr, score: impl Fn(&Csr) -> Vec<u64>) -> Vec<u32> {
     let n = g.node_count();
     let batch = n.div_ceil(RECALC_BATCHES).max(1);
@@ -191,9 +193,14 @@ fn batched_order(g: &Csr, score: impl Fn(&Csr) -> Vec<u64>) -> Vec<u32> {
     while order.len() < n {
         let (sub, map) = g.induced_subgraph(&alive);
         let sub_scores = score(&sub);
+        let key = |&v: &u32| (std::cmp::Reverse(sub_scores[v as usize]), map[v as usize]);
         let mut ranked: Vec<u32> = (0..sub.node_count() as u32).collect();
-        ranked.sort_by_key(|&v| (std::cmp::Reverse(sub_scores[v as usize]), map[v as usize]));
-        for &v in ranked.iter().take(batch.min(ranked.len())) {
+        let take = batch.min(ranked.len());
+        if take < ranked.len() {
+            ranked.select_nth_unstable_by_key(take, key);
+        }
+        ranked[..take].sort_unstable_by_key(key);
+        for &v in &ranked[..take] {
             let old = map[v as usize];
             alive[old] = false;
             order.push(old as u32);
@@ -357,6 +364,58 @@ mod tests {
             let order = Strategy::Betweenness { recalc }.removal_order(&g, 0, 16);
             assert_eq!(order[0], 8, "recalc {recalc}: bridge must die first");
         }
+    }
+
+    /// `batched_order` as it was before the partial selection: a full sort
+    /// of every survivor in each round, kept as the oracle.
+    fn batched_order_full_sort(g: &Csr, score: impl Fn(&Csr) -> Vec<u64>) -> Vec<u32> {
+        let n = g.node_count();
+        let batch = n.div_ceil(RECALC_BATCHES).max(1);
+        let mut alive = vec![true; n];
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        while order.len() < n {
+            let (sub, map) = g.induced_subgraph(&alive);
+            let sub_scores = score(&sub);
+            let mut ranked: Vec<u32> = (0..sub.node_count() as u32).collect();
+            ranked.sort_by_key(|&v| (std::cmp::Reverse(sub_scores[v as usize]), map[v as usize]));
+            for &v in ranked.iter().take(batch.min(ranked.len())) {
+                let old = map[v as usize];
+                alive[old] = false;
+                order.push(old as u32);
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn batch_selection_matches_the_full_sort() {
+        let degree =
+            |g: &Csr| -> Vec<u64> { (0..g.node_count()).map(|v| g.degree(v) as u64).collect() };
+        inet_stats::rng::check(8, |rng| {
+            // Random attachment with a few hubs: plenty of tied scores, and
+            // batches of several nodes once n exceeds 64.
+            let n = rng.gen_range(1..1500usize);
+            let mut edges = Vec::new();
+            for v in 1..n {
+                edges.push((v, rng.gen_range(0..v)));
+                if rng.gen_bool(0.5) {
+                    edges.push((v, rng.gen_range(0..v.min(4))));
+                }
+            }
+            let g = Csr::from_edges(n, &edges);
+            assert_eq!(
+                batched_order(&g, degree),
+                batched_order_full_sort(&g, degree)
+            );
+            assert_eq!(
+                Strategy::KCore { recalc: true }.removal_order(&g, 0, 8),
+                batched_order_full_sort(&g, kcore_score)
+            );
+            assert_eq!(
+                Strategy::Betweenness { recalc: true }.removal_order(&g, 0, 8),
+                batched_order_full_sort(&g, |g| betweenness_score(g, 8))
+            );
+        });
     }
 
     #[test]

@@ -31,6 +31,7 @@ use crate::percolation::percolation_curve;
 use crate::strategy::Strategy;
 use inet_exec::{run_fenced, CancelToken, Executor, Task, TaskError};
 use inet_graph::Csr;
+use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -245,12 +246,19 @@ pub fn run_sweep(g: &Csr, cfg: &SweepConfig) -> Result<SweepResult, SweepError> 
         })
         .collect();
     let total = all.len();
-    let pending: Vec<Cell> = all
+    let recorded = locate(&all, &ckpt.cells);
+    let mut pending: Vec<Cell> = all
         .iter()
-        .filter(|c| !ckpt.has_cell(c.strategy.name(), c.replica))
+        .filter(|c| recorded[c.index].is_none())
         .cloned()
         .collect();
     let resumed = total - pending.len();
+    // Longest first: a deterministic strategy's single cell (a recalc order
+    // re-scores the graph 64 times) is handed out before the stochastic
+    // replicas, so it overlaps them instead of running alone at the end.
+    // Seeds, failpoints and the test hook key on the canonical index, and
+    // results are gathered in canonical order, so nothing else changes.
+    pending.sort_by_key(|c| c.strategy.stochastic());
 
     let state = Mutex::new(SweepState { ckpt, warnings });
 
@@ -313,7 +321,12 @@ pub fn run_sweep(g: &Csr, cfg: &SweepConfig) -> Result<SweepResult, SweepError> 
                         failed.push(cell.clone());
                     }
                     // Serialize outside the lock: under it, only the push
-                    // and the append of ready bytes.
+                    // and the append of ready bytes. A journaled sweep
+                    // times both under one span per cell.
+                    let _span = cfg
+                        .checkpoint
+                        .is_some()
+                        .then(|| inet_obs::span::enter("sweep.checkpoint", cell.index as u64));
                     let line = cfg.checkpoint.as_ref().map(|_| match &finished {
                         Ok(record) => record.log_line(),
                         Err(failure) => failure.log_line(),
@@ -358,14 +371,12 @@ pub fn run_sweep(g: &Csr, cfg: &SweepConfig) -> Result<SweepResult, SweepError> 
             .position(|s| s.name() == name)
             .unwrap_or(usize::MAX)
     };
-    let cells: Vec<CellRecord> = all
-        .iter()
-        .filter_map(|cell| {
-            ckpt.cells
-                .iter()
-                .find(|r| r.strategy == cell.strategy.name() && r.replica == cell.replica)
-                .cloned()
-        })
+    let recorded = locate(&all, &ckpt.cells);
+    let mut records: Vec<Option<CellRecord>> = ckpt.cells.into_iter().map(Some).collect();
+    let cells: Vec<CellRecord> = recorded
+        .into_iter()
+        .flatten()
+        .filter_map(|at| records[at].take())
         .collect();
     let mut failures = ckpt.failures;
     failures.sort_by_key(|f| (strategy_pos(&f.strategy), f.replica, f.attempt));
@@ -381,6 +392,23 @@ pub fn run_sweep(g: &Csr, cfg: &SweepConfig) -> Result<SweepResult, SweepError> 
         warnings,
         interrupted,
     })
+}
+
+/// For each cell of the canonical list `all`, the position in `records` of
+/// the first record for its `(strategy, replica)`, or `None`. One hash
+/// lookup per record, so resuming and gathering stay linear in the cells.
+fn locate(all: &[Cell], records: &[CellRecord]) -> Vec<Option<usize>> {
+    let canonical: HashMap<(&str, usize), usize> = all
+        .iter()
+        .map(|c| ((c.strategy.name(), c.replica), c.index))
+        .collect();
+    let mut found = vec![None; all.len()];
+    for (at, r) in records.iter().enumerate() {
+        if let Some(&index) = canonical.get(&(r.strategy.as_str(), r.replica)) {
+            found[index].get_or_insert(at);
+        }
+    }
+    found
 }
 
 /// Computes one cell (may panic; the caller catches). The `sweep.cell`
@@ -574,6 +602,93 @@ mod tests {
             .unwrap();
         let resumed = run_sweep(&g, &cfg).unwrap();
         assert_eq!(resumed.cells, full.cells);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn hundreds_of_replicas_gather_canonically_and_resume() {
+        let g = test_graph();
+        let path = tmp_ckpt("many-replicas.ckpt");
+        let cfg = SweepConfig {
+            replicas: 300,
+            record_every: 4,
+            checkpoint: Some(path.clone()),
+            ..base_cfg()
+        };
+        let canonical: Vec<(String, usize)> = cfg
+            .cells()
+            .into_iter()
+            .map(|(s, r)| (s.name().to_string(), r))
+            .collect();
+        assert_eq!(canonical.len(), 302);
+        let full = run_sweep(&g, &cfg).unwrap();
+        let keys: Vec<(String, usize)> = full
+            .cells
+            .iter()
+            .map(|c| (c.strategy.clone(), c.replica))
+            .collect();
+        assert_eq!(keys, canonical);
+
+        // Keep every third record, reversed, then a conflicting copy of
+        // the first kept one: the first record of a cell is the one used.
+        let mut ckpt = Checkpoint::load(&path).unwrap().unwrap();
+        ckpt.cells = ckpt.cells.iter().rev().step_by(3).cloned().collect();
+        let kept = ckpt.cells.len();
+        let mut conflicting = ckpt.cells[0].clone();
+        conflicting.curve.critical_fraction += 1.0;
+        ckpt.cells.push(conflicting);
+        ckpt.save_with_retry(&path, &RetryPolicy::no_delay())
+            .unwrap();
+        let resumed = run_sweep(&g, &cfg).unwrap();
+        assert_eq!(resumed.resumed, kept);
+        assert_eq!(resumed.cells, full.cells);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn deterministic_cells_are_handed_out_before_the_replicas() {
+        let g = test_graph();
+        let path = tmp_ckpt("dispatch-order.ckpt");
+        let cfg = SweepConfig {
+            threads: 1,
+            checkpoint: Some(path.clone()),
+            ..base_cfg()
+        };
+        let result = run_sweep(&g, &cfg).unwrap();
+        // At one thread the log's completion order is the dispatch order.
+        let logged: Vec<String> = Checkpoint::load(&path)
+            .unwrap()
+            .unwrap()
+            .cells
+            .iter()
+            .map(|c| format!("{}/{}", c.strategy, c.replica))
+            .collect();
+        assert_eq!(
+            logged,
+            [
+                "degree/0",
+                "degree-recalc/0",
+                "random/0",
+                "random/1",
+                "random/2"
+            ]
+        );
+        // The result stays in canonical order.
+        let canonical: Vec<String> = result
+            .cells
+            .iter()
+            .map(|c| format!("{}/{}", c.strategy, c.replica))
+            .collect();
+        assert_eq!(
+            canonical,
+            [
+                "random/0",
+                "random/1",
+                "random/2",
+                "degree/0",
+                "degree-recalc/0"
+            ]
+        );
         let _ = std::fs::remove_file(&path);
     }
 
