@@ -64,6 +64,46 @@ impl Csr {
         g.to_csr()
     }
 
+    /// Relabels the nodes: node `v` becomes `new_of[v]`. Each adjacency
+    /// list is mapped and re-sorted, its weights travelling with their
+    /// targets, so the result equals [`Csr::from_edges`] over the mapped
+    /// edges without building a [`MultiGraph`] on the way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new_of` is not a permutation of `0..node_count()`.
+    pub fn permuted(&self, new_of: &[u32]) -> Csr {
+        let n = self.node_count();
+        assert_eq!(new_of.len(), n, "permutation length mismatch");
+        let mut old_of = vec![u32::MAX; n];
+        for (old, &new) in new_of.iter().enumerate() {
+            let slot = std::mem::replace(&mut old_of[new as usize], old as u32);
+            assert_eq!(slot, u32::MAX, "not a permutation");
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(self.targets.len());
+        let mut weights = Vec::with_capacity(self.weights.len());
+        let mut list: Vec<(u32, u64)> = Vec::new();
+        offsets.push(0);
+        for &old in &old_of {
+            let old = old as usize;
+            let mapped = self.neighbors(old).iter().map(|&t| new_of[t as usize]);
+            list.clear();
+            list.extend(mapped.zip(self.neighbor_weights(old).iter().copied()));
+            list.sort_unstable_by_key(|&(t, _)| t);
+            targets.extend(list.iter().map(|&(t, _)| t));
+            weights.extend(list.iter().map(|&(_, w)| w));
+            offsets.push(targets.len());
+        }
+        Csr {
+            offsets,
+            targets,
+            weights,
+            edge_count: self.edge_count,
+            total_weight: self.total_weight,
+        }
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -342,6 +382,39 @@ mod tests {
         assert_eq!(one.node_count(), 1);
         assert_eq!(one.degree(0), 0);
         assert!(one.validate());
+    }
+
+    #[test]
+    fn permuted_equals_from_edges_over_the_mapped_edges() {
+        inet_stats::rng::check(64, |rng| {
+            let n = rng.gen_range(1..40usize);
+            // Few node pairs, many draws: parallel edges accumulate weight.
+            let edges: Vec<(usize, usize)> = (0..rng.gen_range(0..3 * n))
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .collect();
+            let g = Csr::from_edges(n, &edges);
+            let mut new_of: Vec<u32> = (0..n as u32).collect();
+            rng.shuffle(&mut new_of);
+            let mapped: Vec<(usize, usize)> = edges
+                .iter()
+                .map(|&(u, v)| (new_of[u] as usize, new_of[v] as usize))
+                .collect();
+            let p = g.permuted(&new_of);
+            assert!(p.validate());
+            assert_eq!(p, Csr::from_edges(n, &mapped));
+            let identity: Vec<u32> = (0..n as u32).collect();
+            assert_eq!(g.permuted(&identity), g);
+        });
+        assert_eq!(
+            Csr::from_edges(0, &[]).permuted(&[]),
+            Csr::from_edges(0, &[])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn permuted_rejects_a_repeated_label() {
+        let _ = triangle_plus_tail().permuted(&[0, 1, 1, 3]);
     }
 
     #[test]

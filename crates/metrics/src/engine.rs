@@ -15,21 +15,42 @@
 //!   per-source visited bits, so one pass over the edges advances 64 BFS
 //!   frontiers at once and a popcount per node yields the histogram. This
 //!   replaces 64 scattered `dist[w]` probes per edge with one word OR.
-//! * Brandes sources run level by level over a single `order` vector that
-//!   doubles as the FIFO queue and, read backwards, as the dependency-pass
-//!   stack — no separate `VecDeque`/stack allocations.
+//! * Per-source traversals (Brandes or closeness sources) run on the
+//!   hub-first relabeled graph, level by level over a single `order` vector
+//!   that doubles as the FIFO queue and, read backwards, as the
+//!   dependency-pass stack — no separate `VecDeque`/stack allocations.
+//! * They walk only the **core**, the nodes of degree ≥ 2, and fold the
+//!   degree-1 nodes ("leaves") in exactly. A shortest path can end at a
+//!   leaf but never pass through one. Relabeling gives leaves the highest
+//!   ids, so each sorted adjacency list ends in its leaves, and a parent
+//!   pushes its leaf children last in its block of `order`. The dependency
+//!   pass therefore adds their shares to δ_v before any other child's.
+//!   So when node v is scanned, its `L_v` leaves are added to the next
+//!   level's width, and δ_v is set to `L_v` sequential adds of
+//!   `σ_v · ((1 + 0) / σ_v)`, the term each leaf would have added. A leaf is
+//!   never pushed, scanned or reset, and a leaf source takes itself off its
+//!   neighbour's count. On a leafless graph the core slice of every list is
+//!   the whole list. AS-like graphs are stub-heavy (about 29% of a PFP
+//!   giant, half of a Serrano giant), so this skips a large share of every
+//!   traversal with every output bit unchanged.
 //! * Brandes path counts `σ` are written on a node's discovery instead of
-//!   being reset between sources, and `dist`/`δ`/predecessor lists are
-//!   reset touched-only. Predecessors stay in per-node lists like the
-//!   seed's: both a flat CSR-shaped predecessor arena and a pred-less CSR
-//!   rescan of the dependency condition were measured *slower* on
-//!   heavy-tailed graphs (extra random cache lines per DAG edge).
+//!   being reset between sources. Between sources only the entries actually
+//!   touched are reset: the core prefix by sequential fills when the
+//!   traversal covered most of it, else the entries in `order`.
+//! * Predecessors stay in per-node lists like the seed's. A flat
+//!   CSR-shaped predecessor arena was measured *slower* on heavy-tailed
+//!   graphs (extra random cache lines per DAG edge). With leaf folding in
+//!   place, two more variants were measured on a PFP giant (n = 30 000,
+//!   500 Brandes sources, one thread) and dropped (EXPERIMENTS.md, "Fused
+//!   Brandes: exact leaf folding"). A pred-less rescan of the core
+//!   adjacency in the dependency pass is bit-identical but 11–12% slower.
+//!   A `u8` distance array was 4–6% faster on PFP and −3% to +4% on BA,
+//!   all inside the runs' own quartile spread, and would need a second
+//!   code path past 254 levels.
 //! * The path-length histogram is updated **once per BFS level** (level
 //!   width added to `counts[d]`), not once per visited node, and the
 //!   efficiency sum `Σ 1/d` is derived from the final histogram instead of
 //!   doing one float division per reachable pair.
-//! * Between sources only the entries actually touched (those in `order`)
-//!   are reset.
 //!
 //! Batches and sources fan out over the deterministic pool behind
 //! [`inet_exec::Executor::fold_ordered`], which folds each chunk's partial
@@ -249,7 +270,8 @@ pub(crate) fn closeness_values(g: &Csr, threads: usize) -> Vec<f64> {
 /// Per-worker reusable buffers. Betweenness arrays are only allocated when
 /// the sweep contains betweenness sources. `sigma` is (over)written on a
 /// node's discovery, so it needs no reset between sources; `dist`, `delta`
-/// and the predecessor lists are reset touched-only.
+/// and the predecessor lists are reset after each source (core entries
+/// only: leaves are never touched).
 struct Workspace {
     dist: Vec<u32>,
     sigma: Vec<f64>,
@@ -334,6 +356,21 @@ impl SweepTotals {
             self.closeness[node as usize] = value;
         }
     }
+
+    /// Scatters per-node results taken over a relabeled graph back to the
+    /// caller's ids: slot `new` lands in `old_of[new]`.
+    fn unpermute(mut self, old_of: &[u32]) -> Self {
+        let n = old_of.len();
+        let mut betweenness = vec![0.0; n];
+        let mut closeness = vec![0.0; n];
+        for (new, &old) in old_of.iter().enumerate() {
+            betweenness[old as usize] = self.betweenness[new];
+            closeness[old as usize] = self.closeness[new];
+        }
+        self.betweenness = betweenness;
+        self.closeness = closeness;
+        self
+    }
 }
 
 /// Runs the fused traversal for every spec, fanning sources out over
@@ -351,49 +388,36 @@ impl SweepTotals {
 /// Sources that only feed the path-length histogram are traversed in
 /// bit-parallel batches of 64 (histogram counts are integers, so the
 /// batched order changes nothing); sources that feed betweenness or
-/// closeness take the per-source [`fused_source`] path.
+/// closeness take the per-source [`fused_source`] path, which folds the
+/// degree-1 nodes in without visiting them.
 pub(crate) fn sweep(g: &Csr, specs: &[SourceSpec], threads: usize) -> SweepTotals {
     let n = g.node_count();
     if n == 0 || specs.is_empty() {
         return SweepTotals::zero(n);
     }
+    let (gp, old_of, specs) = hub_first(g, specs);
+    sweep_relabeled(&gp, &specs, threads).unpermute(&old_of)
+}
 
-    // old_of[new] = old id, nodes sorted by (degree desc, id asc);
-    // new_of[old] inverts it.
+/// Relabels `g` hub-first — nodes sorted by (degree desc, id asc) — and
+/// maps `specs` onto the new ids. Returns the relabeled graph and `old_of`,
+/// where `old_of[new]` is the caller's id of node `new`.
+fn hub_first(g: &Csr, specs: &[SourceSpec]) -> (Csr, Vec<u32>, Vec<SourceSpec>) {
+    let n = g.node_count();
     let mut old_of: Vec<u32> = (0..n as u32).collect();
     old_of.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v as usize)), v));
     let mut new_of = vec![0u32; n];
     for (new, &old) in old_of.iter().enumerate() {
         new_of[old as usize] = new as u32;
     }
-    let mut edges = Vec::with_capacity(g.edge_count());
-    for u in 0..n {
-        for &v in g.neighbors(u) {
-            if (v as usize) > u {
-                edges.push((new_of[u] as usize, new_of[v as usize] as usize));
-            }
-        }
-    }
-    let gp = Csr::from_edges(n, &edges);
-    let specs: Vec<SourceSpec> = specs
+    let specs = specs
         .iter()
         .map(|s| SourceSpec {
             node: new_of[s.node as usize],
             ..*s
         })
         .collect();
-
-    let mut totals = sweep_relabeled(&gp, &specs, threads);
-    // Each `(new, old)` pair scatters the permuted slot straight back.
-    let mut betweenness = vec![0.0; n];
-    let mut closeness = vec![0.0; n];
-    for (new, &old) in old_of.iter().enumerate() {
-        betweenness[old as usize] = totals.betweenness[new];
-        closeness[old as usize] = totals.closeness[new];
-    }
-    totals.betweenness = betweenness;
-    totals.closeness = closeness;
-    totals
+    (g.permuted(&new_of), old_of, specs)
 }
 
 /// [`sweep`] body, operating on the hub-first relabeled graph.
@@ -410,6 +434,7 @@ fn sweep_relabeled(g: &Csr, specs: &[SourceSpec], threads: usize) -> SweepTotals
         .filter(|s| s.betweenness || s.closeness)
         .collect();
     let needs_bc = heavy.iter().any(|s| s.betweenness);
+    let first_leaf = first_leaf(g);
 
     // Heavy partials fold first, then light ones, each in chunk order.
     let pool = Executor::new(threads);
@@ -420,7 +445,7 @@ fn sweep_relabeled(g: &Csr, specs: &[SourceSpec], threads: usize) -> SweepTotals
         |ws, range| {
             let mut part = Partial::empty();
             for spec in &heavy[range] {
-                fused_source(g, *spec, ws, &mut part);
+                fused_source(g, first_leaf, *spec, ws, &mut part);
             }
             part
         },
@@ -512,13 +537,35 @@ fn batched_paths(g: &Csr, sources: &[u32], ws: &mut BatchWorkspace, out: &mut Pa
     out.unreachable += n as u64 * sources.len() as u64 - reached;
 }
 
-/// One fused source traversal: level-by-level BFS with optional Brandes
-/// path counting, followed by the optional dependency pass, then a
-/// touched-only workspace reset.
-fn fused_source(g: &Csr, spec: SourceSpec, ws: &mut Workspace, out: &mut Partial) {
+/// The first degree-1 node ("leaf") of hub-first `g`. Sorting by degree
+/// puts the leaves at the ids `first_leaf(g)..`, below only the isolated
+/// nodes, so every sorted adjacency list ends in its leaves and every node
+/// below the first leaf has degree ≥ 2.
+fn first_leaf(g: &Csr) -> usize {
+    (0..g.node_count())
+        .take_while(|&v| g.degree(v) >= 2)
+        .count()
+}
+
+/// One fused source traversal over the core of a hub-first graph:
+/// level-by-level BFS with optional Brandes path counting, followed by the
+/// optional dependency pass, then a workspace reset. Leaves are folded in
+/// without being pushed, scanned or reset (see the module doc).
+fn fused_source(
+    g: &Csr,
+    first_leaf: usize,
+    spec: SourceSpec,
+    ws: &mut Workspace,
+    out: &mut Partial,
+) {
     let n = g.node_count();
     let s = spec.node as usize;
     let bc_pass = spec.betweenness;
+    // A leaf source is reached already: its neighbour folds one leaf less.
+    let leaf_source_neighbour = match g.neighbors(s) {
+        &[u] => u as usize,
+        _ => usize::MAX,
+    };
 
     ws.order.clear();
     ws.dist[s] = 0;
@@ -528,28 +575,35 @@ fn fused_source(g: &Csr, spec: SourceSpec, ws: &mut Workspace, out: &mut Partial
     }
 
     let mut close_sum = 0u64;
+    let mut reached = 1usize;
     let mut level_start = 0usize;
     let mut d = 0u32;
     while level_start < ws.order.len() {
         let level_end = ws.order.len();
-        if d >= 1 {
-            let width = (level_end - level_start) as u64;
-            if spec.paths {
-                let di = d as usize;
-                if di >= out.counts.len() {
-                    out.counts.resize(di + 1, 0);
-                }
-                out.counts[di] += width;
-            }
-            if spec.closeness {
-                close_sum += d as u64 * width;
-            }
-        }
+        let mut level_leaves = 0usize;
         for idx in level_start..level_end {
             let v = ws.order[idx] as usize;
+            let nbrs = g.neighbors(v);
+            // Only a list that ends in a leaf needs its core end searched.
+            let core_len = match nbrs.last() {
+                Some(&w) if w as usize >= first_leaf => {
+                    nbrs.partition_point(|&w| (w as usize) < first_leaf)
+                }
+                _ => nbrs.len(),
+            };
+            let core = &nbrs[..core_len];
+            let folded = nbrs.len() - core_len - usize::from(v == leaf_source_neighbour);
+            level_leaves += folded;
             if bc_pass {
                 let sv = ws.sigma[v];
-                for &w in g.neighbors(v) {
+                if folded > 0 {
+                    // Each leaf child has σ = σ_v and δ = 0, and the
+                    // dependency pass reaches v's leaves before its other
+                    // children: δ_v starts as their terms, summed in turn.
+                    let c = sv * ((1.0 + 0.0) / sv);
+                    ws.delta[v] = (0..folded).fold(0.0, |delta, _| delta + c);
+                }
+                for &w in core {
                     let wi = w as usize;
                     let dw = ws.dist[wi];
                     if dw == UNREACHABLE {
@@ -565,7 +619,7 @@ fn fused_source(g: &Csr, spec: SourceSpec, ws: &mut Workspace, out: &mut Partial
                     }
                 }
             } else {
-                for &w in g.neighbors(v) {
+                for &w in core {
                     let wi = w as usize;
                     if ws.dist[wi] == UNREACHABLE {
                         ws.dist[wi] = d + 1;
@@ -574,17 +628,32 @@ fn fused_source(g: &Csr, spec: SourceSpec, ws: &mut Workspace, out: &mut Partial
                 }
             }
         }
+        // Level d + 1: the core nodes just pushed plus the leaves folded in.
+        let width = ws.order.len() - level_end + level_leaves;
+        if width > 0 {
+            if spec.paths {
+                let di = d as usize + 1;
+                if di >= out.counts.len() {
+                    out.counts.resize(di + 1, 0);
+                }
+                out.counts[di] += width as u64;
+            }
+            if spec.closeness {
+                close_sum += (d as u64 + 1) * width as u64;
+            }
+        }
+        reached += width;
         level_start = level_end;
         d += 1;
     }
 
     if spec.paths {
-        out.unreachable += (n - ws.order.len()) as u64;
+        out.unreachable += (n - reached) as u64;
     }
     if spec.closeness {
         // Wasserman–Faust component-aware closeness, exactly as in
         // `centrality::closeness`.
-        let reachable = (ws.order.len() - 1) as u64;
+        let reachable = (reached - 1) as u64;
         let value = if close_sum > 0 && n > 1 {
             let frac = reachable as f64 / (n as f64 - 1.0);
             frac * reachable as f64 / close_sum as f64
@@ -597,12 +666,14 @@ fn fused_source(g: &Csr, spec: SourceSpec, ws: &mut Workspace, out: &mut Partial
     if bc_pass {
         // Dependency pass in reverse visitation order. `order[0]` is the
         // source, which has no predecessors and accumulates no betweenness,
-        // so it is skipped. The per-node coefficient `(1 + δ_w) / σ_w` is
-        // hoisted so each predecessor costs one multiply instead of a
-        // divide and a multiply; this deviates from the seed's per-edge
-        // `σ_v / σ_w · (1 + δ_w)` by at most a couple of ulp (the
-        // cross-check tests compare at 1e-9) and stays bit-identical
-        // across thread counts, which is the contract that matters.
+        // so it is skipped; leaves are not in `order` at all, their δ is 0
+        // and their share of δ_v is already in place. The per-node
+        // coefficient `(1 + δ_w) / σ_w` is hoisted so each predecessor
+        // costs one multiply instead of a divide and a multiply; this
+        // deviates from the seed's per-edge `σ_v / σ_w · (1 + δ_w)` by at
+        // most a couple of ulp (the cross-check tests compare at 1e-9) and
+        // stays bit-identical across thread counts, which is the contract
+        // that matters.
         let bc = out.bc.get_or_insert_with(|| vec![0.0; n]);
         for idx in (1..ws.order.len()).rev() {
             let w = ws.order[idx] as usize;
@@ -615,15 +686,18 @@ fn fused_source(g: &Csr, spec: SourceSpec, ws: &mut Workspace, out: &mut Partial
         }
     }
 
-    // Reset for the next source. When the traversal covered most of the
-    // graph (the usual case on a giant component), sequential fills beat
+    // Reset for the next source. Only core nodes and the source were
+    // touched. When the traversal covered most of the core (the usual case
+    // on a giant component), sequential fills of the core prefix beat
     // touching the same entries in random BFS order; the touched-only path
     // wins on small components.
-    if ws.order.len() * 4 >= n {
-        ws.dist.iter_mut().for_each(|x| *x = UNREACHABLE);
+    if ws.order.len() * 4 >= first_leaf {
+        ws.dist[..first_leaf].fill(UNREACHABLE);
+        ws.dist[s] = UNREACHABLE;
         if bc_pass {
-            ws.delta.iter_mut().for_each(|x| *x = 0.0);
-            ws.preds.iter_mut().for_each(Vec::clear);
+            ws.delta[..first_leaf].fill(0.0);
+            ws.delta[s] = 0.0;
+            ws.preds[..first_leaf].iter_mut().for_each(Vec::clear);
         }
     } else {
         for &v in &ws.order {
@@ -640,6 +714,305 @@ fn fused_source(g: &Csr, spec: SourceSpec, ws: &mut Workspace, out: &mut Partial
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The plain per-source traversal, visiting every node leaves included:
+    /// the oracle [`fused_source`] must match bit for bit.
+    fn unfolded_fused_source(g: &Csr, spec: SourceSpec, ws: &mut Workspace, out: &mut Partial) {
+        let n = g.node_count();
+        let s = spec.node as usize;
+        let bc_pass = spec.betweenness;
+
+        ws.order.clear();
+        ws.dist[s] = 0;
+        ws.order.push(spec.node);
+        if bc_pass {
+            ws.sigma[s] = 1.0;
+        }
+
+        let mut close_sum = 0u64;
+        let mut level_start = 0usize;
+        let mut d = 0u32;
+        while level_start < ws.order.len() {
+            let level_end = ws.order.len();
+            if d >= 1 {
+                let width = (level_end - level_start) as u64;
+                if spec.paths {
+                    let di = d as usize;
+                    if di >= out.counts.len() {
+                        out.counts.resize(di + 1, 0);
+                    }
+                    out.counts[di] += width;
+                }
+                if spec.closeness {
+                    close_sum += d as u64 * width;
+                }
+            }
+            for idx in level_start..level_end {
+                let v = ws.order[idx] as usize;
+                if bc_pass {
+                    let sv = ws.sigma[v];
+                    for &w in g.neighbors(v) {
+                        let wi = w as usize;
+                        let dw = ws.dist[wi];
+                        if dw == UNREACHABLE {
+                            ws.dist[wi] = d + 1;
+                            // First touch: `σ = sv` is bitwise `0.0 + sv`, so σ
+                            // never needs a reset between sources.
+                            ws.sigma[wi] = sv;
+                            ws.order.push(w);
+                            ws.preds[wi].push(v as u32);
+                        } else if dw == d + 1 {
+                            ws.sigma[wi] += sv;
+                            ws.preds[wi].push(v as u32);
+                        }
+                    }
+                } else {
+                    for &w in g.neighbors(v) {
+                        let wi = w as usize;
+                        if ws.dist[wi] == UNREACHABLE {
+                            ws.dist[wi] = d + 1;
+                            ws.order.push(w);
+                        }
+                    }
+                }
+            }
+            level_start = level_end;
+            d += 1;
+        }
+
+        if spec.paths {
+            out.unreachable += (n - ws.order.len()) as u64;
+        }
+        if spec.closeness {
+            // Wasserman–Faust component-aware closeness, exactly as in
+            // `centrality::closeness`.
+            let reachable = (ws.order.len() - 1) as u64;
+            let value = if close_sum > 0 && n > 1 {
+                let frac = reachable as f64 / (n as f64 - 1.0);
+                frac * reachable as f64 / close_sum as f64
+            } else {
+                0.0
+            };
+            out.closeness.push((spec.node, value));
+        }
+
+        if bc_pass {
+            // Dependency pass in reverse visitation order. `order[0]` is the
+            // source, which has no predecessors and accumulates no betweenness,
+            // so it is skipped. The per-node coefficient `(1 + δ_w) / σ_w` is
+            // hoisted so each predecessor costs one multiply instead of a
+            // divide and a multiply; this deviates from the seed's per-edge
+            // `σ_v / σ_w · (1 + δ_w)` by at most a couple of ulp (the
+            // cross-check tests compare at 1e-9) and stays bit-identical
+            // across thread counts, which is the contract that matters.
+            let bc = out.bc.get_or_insert_with(|| vec![0.0; n]);
+            for idx in (1..ws.order.len()).rev() {
+                let w = ws.order[idx] as usize;
+                let coeff = (1.0 + ws.delta[w]) / ws.sigma[w];
+                for &v in &ws.preds[w] {
+                    let vi = v as usize;
+                    ws.delta[vi] += ws.sigma[vi] * coeff;
+                }
+                bc[w] += ws.delta[w];
+            }
+        }
+
+        // Reset for the next source. When the traversal covered most of the
+        // graph (the usual case on a giant component), sequential fills beat
+        // touching the same entries in random BFS order; the touched-only path
+        // wins on small components.
+        if ws.order.len() * 4 >= n {
+            ws.dist.iter_mut().for_each(|x| *x = UNREACHABLE);
+            if bc_pass {
+                ws.delta.iter_mut().for_each(|x| *x = 0.0);
+                ws.preds.iter_mut().for_each(Vec::clear);
+            }
+        } else {
+            for &v in &ws.order {
+                let vi = v as usize;
+                ws.dist[vi] = UNREACHABLE;
+                if bc_pass {
+                    ws.delta[vi] = 0.0;
+                    ws.preds[vi].clear();
+                }
+            }
+        }
+    }
+
+    /// [`sweep`] with every source on [`unfolded_fused_source`]. Takes only
+    /// specs that feed betweenness or closeness, which [`sweep`] sends
+    /// through the same single fan-out.
+    fn oracle_sweep(g: &Csr, specs: &[SourceSpec], threads: usize) -> SweepTotals {
+        assert!(specs.iter().all(|s| s.betweenness || s.closeness));
+        let n = g.node_count();
+        let (gp, old_of, specs) = hub_first(g, specs);
+        let needs_bc = specs.iter().any(|s| s.betweenness);
+        Executor::new(threads)
+            .fold_ordered(
+                specs.len(),
+                SweepTotals::zero(n),
+                || Workspace::new(n, needs_bc),
+                |ws, range| {
+                    let mut part = Partial::empty();
+                    for spec in &specs[range] {
+                        unfolded_fused_source(&gp, *spec, ws, &mut part);
+                    }
+                    part
+                },
+                SweepTotals::absorb,
+            )
+            .unpermute(&old_of)
+    }
+
+    /// Random graph heavy in degree-1 nodes, under shuffled ids: a random
+    /// tree with pendant stubs and a few (sometimes many) extra edges, a
+    /// star, two-node components and isolated nodes.
+    fn pendant_heavy(rng: &mut inet_stats::rng::StdRng) -> Csr {
+        let tree = rng.gen_range(1..40usize);
+        let mut edges: Vec<(usize, usize)> = (1..tree).map(|i| (rng.gen_range(0..i), i)).collect();
+        let mut n = tree;
+        for _ in 0..rng.gen_range(0..2 * tree) {
+            edges.push((rng.gen_range(0..tree), n));
+            n += 1;
+        }
+        let extra = if rng.gen_bool(0.3) {
+            2 * tree
+        } else {
+            tree / 4
+        };
+        for _ in 0..rng.gen_range(0..=extra) {
+            edges.push((rng.gen_range(0..tree), rng.gen_range(0..tree)));
+        }
+        let arms = rng.gen_range(0..6usize);
+        edges.extend((1..=arms).map(|i| (n, n + i)));
+        n += arms + 1;
+        for _ in 0..rng.gen_range(0..3usize) {
+            edges.push((n, n + 1));
+            n += 2;
+        }
+        n += rng.gen_range(0..3usize);
+        let mut label: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut label);
+        let edges: Vec<(usize, usize)> = edges.iter().map(|&(u, v)| (label[u], label[v])).collect();
+        Csr::from_edges(n, &edges)
+    }
+
+    /// Random specs that all take the per-source path: each node is a
+    /// source with probability `p`, with random flags.
+    fn heavy_specs(n: usize, p: f64, rng: &mut inet_stats::rng::StdRng) -> Vec<SourceSpec> {
+        let mut specs = Vec::new();
+        for node in 0..n as u32 {
+            if rng.gen_bool(p) {
+                let betweenness = rng.gen_bool(0.7);
+                specs.push(SourceSpec {
+                    node,
+                    paths: rng.gen_bool(0.5),
+                    betweenness,
+                    closeness: !betweenness || rng.gen_bool(0.5),
+                });
+            }
+        }
+        specs
+    }
+
+    fn assert_bit_identical(a: &SweepTotals, b: &SweepTotals, what: &str) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.counts, b.counts, "{what}: counts");
+        assert_eq!(
+            a.unreachable_pairs, b.unreachable_pairs,
+            "{what}: unreachable"
+        );
+        assert_eq!(
+            bits(&a.betweenness),
+            bits(&b.betweenness),
+            "{what}: betweenness"
+        );
+        assert_eq!(bits(&a.closeness), bits(&b.closeness), "{what}: closeness");
+    }
+
+    #[test]
+    fn leaf_folding_matches_the_unfolded_traversal_bit_for_bit() {
+        inet_stats::rng::check(200, |rng| {
+            let g = pendant_heavy(rng);
+            let p = if rng.gen_bool(0.3) { 1.0 } else { 0.4 };
+            let specs = heavy_specs(g.node_count(), p, rng);
+            let oracle = oracle_sweep(&g, &specs, 1);
+            for threads in [1, 2, 7] {
+                let got = sweep(&g, &specs, threads);
+                assert_bit_identical(&got, &oracle, &format!("threads {threads}"));
+            }
+        });
+    }
+
+    #[test]
+    fn leaf_folding_matches_the_unfolded_traversal_on_stars_and_pairs() {
+        // Every node a source, so leaf sources and the hub both run, with
+        // every flag combination that takes the per-source path.
+        let mut shapes = vec![Csr::from_edges(2, &[(0, 1)]), Csr::from_edges(3, &[])];
+        for arms in [1, 2, 5, 40] {
+            let edges: Vec<(usize, usize)> = (1..=arms).map(|i| (0, i)).collect();
+            shapes.push(Csr::from_edges(arms + 1, &edges));
+        }
+        // Two stars, two pairs and two isolated nodes, hubs mid-range.
+        shapes.push(Csr::from_edges(
+            14,
+            &[
+                (3, 0),
+                (3, 1),
+                (3, 2),
+                (9, 7),
+                (9, 8),
+                (9, 10),
+                (4, 5),
+                (11, 12),
+            ],
+        ));
+        for g in &shapes {
+            for (paths, betweenness, closeness) in [
+                (true, true, true),
+                (false, true, false),
+                (true, false, true),
+            ] {
+                let specs: Vec<SourceSpec> = (0..g.node_count() as u32)
+                    .map(|node| SourceSpec {
+                        node,
+                        paths,
+                        betweenness,
+                        closeness,
+                    })
+                    .collect();
+                let oracle = oracle_sweep(g, &specs, 1);
+                for threads in [1, 2, 7] {
+                    let got = sweep(g, &specs, threads);
+                    let what = format!("n {} threads {threads}", g.node_count());
+                    assert_bit_identical(&got, &oracle, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn leaf_folding_matches_the_unfolded_traversal_where_sigma_times_its_inverse_is_not_one() {
+        // σ·(1/σ) rounds below 1 for σ = 49, so each folded leaf adds a
+        // term just under 1 and the sums are not plain counts. Node 50 is
+        // reached from node 0 over 49 shortest paths and carries 3 leaves.
+        assert_ne!(49.0 * (1.0 / 49.0), 1.0);
+        let mut edges: Vec<(usize, usize)> = (1..50).flat_map(|m| [(0, m), (m, 50)]).collect();
+        edges.extend([(50, 51), (50, 52), (50, 53)]);
+        let g = Csr::from_edges(54, &edges);
+        let specs: Vec<SourceSpec> = (0..54)
+            .map(|node| SourceSpec {
+                node,
+                paths: true,
+                betweenness: true,
+                closeness: true,
+            })
+            .collect();
+        let oracle = oracle_sweep(&g, &specs, 1);
+        for threads in [1, 2, 7] {
+            assert_bit_identical(&sweep(&g, &specs, threads), &oracle, "σ = 49");
+        }
+    }
 
     fn path(n: usize) -> Csr {
         let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();

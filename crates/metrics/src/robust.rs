@@ -287,7 +287,13 @@ pub fn measure_robust_cancellable(
 ) -> RobustReport {
     let o = opt.report;
 
-    let (degree, s_degree) = run_kernel(0, &opt, cancel, || DegreeStats::measure(g));
+    // The power-law x_min scan runs inside the degree kernel's fence, so
+    // its time and any panic belong to that kernel.
+    let (degree, s_degree) = run_kernel(0, &opt, cancel, || {
+        let stats = DegreeStats::measure(g);
+        let fit = stats.powerlaw_fit();
+        (stats, fit)
+    });
     let (clustering, s_clustering) = run_kernel(1, &opt, cancel, || {
         ClusteringStats::measure_threaded(g, o.threads)
     });
@@ -299,7 +305,7 @@ pub fn measure_robust_cancellable(
     let (giant, s_giant) = run_kernel(5, &opt, cancel, || giant_fraction(g));
 
     let (mean_degree, max_degree, gamma) = match &degree {
-        Some(d) => (d.mean, d.max, d.powerlaw_fit().map(|f| f.gamma)),
+        Some((d, fit)) => (d.mean, d.max, fit.map(|f| f.gamma)),
         None => (0.0, 0, None),
     };
     let (mean_clustering, transitivity, triangles) = match &clustering {
@@ -402,6 +408,40 @@ mod tests {
         assert_eq!(robust.report, plain);
         assert!(robust.fully_ok());
         assert_eq!(robust.kernels.len(), KERNEL_NAMES.len());
+    }
+
+    #[test]
+    fn matches_the_plain_battery_on_a_stub_heavy_graph() {
+        let _l = crate::test_lock();
+        // A ring whose node i carries i % 5 pendant nodes: a third of the
+        // nodes are leaves, and the degrees spread enough for a tail fit.
+        let mut edges: Vec<(usize, usize)> = (0..30).map(|i| (i, (i + 1) % 30)).collect();
+        let mut n = 30;
+        for i in 0..30 {
+            for _ in 0..i % 5 {
+                edges.push((i, n));
+                n += 1;
+            }
+        }
+        let g = Csr::from_edges(n, &edges);
+        for threads in [1, 2, 7] {
+            let opt = ReportOptions {
+                path_sources: 40,
+                betweenness_sources: 25,
+                threads,
+            };
+            let robust = measure_robust(
+                &g,
+                RobustOptions {
+                    report: opt,
+                    soft_deadline_millis: None,
+                    selection: KernelSelection::all(),
+                },
+            );
+            let plain = direct(&g, opt);
+            assert!(plain.gamma.is_some());
+            assert_eq!(robust.report, plain, "threads {threads}");
+        }
     }
 
     #[test]

@@ -89,13 +89,22 @@ pub fn fit_discrete(samples: &[u64], xmin: u64) -> Option<PowerLawFit> {
     }
     let shift = xmin as f64 - 0.5;
     let log_sum: f64 = t.iter().map(|&x| (x / shift).ln()).sum();
+    let mut sorted = t;
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    fit_tail(log_sum, &sorted, xmin, f64::INFINITY)
+}
+
+/// The discrete fit at `x_min` from its tail's log-likelihood sum
+/// `Σ ln(x / (x_min − ½))` and the tail sorted ascending; `None` when the
+/// sum is not positive. The KS walk stops early at `stop_at`, as
+/// [`ks_discrete`] says.
+fn fit_tail(log_sum: f64, sorted_tail: &[f64], xmin: u64, stop_at: f64) -> Option<PowerLawFit> {
     if log_sum <= 0.0 {
         return None;
     }
+    let n = sorted_tail.len();
     let gamma = 1.0 + n as f64 / log_sum;
-    let mut sorted = t;
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let ks = ks_discrete(&sorted, gamma, xmin);
+    let ks = ks_discrete(sorted_tail, gamma, xmin, stop_at);
     Some(PowerLawFit {
         gamma,
         gamma_se: (gamma - 1.0) / (n as f64).sqrt(),
@@ -136,7 +145,11 @@ pub fn hurwitz_zeta(s: f64, a: f64) -> f64 {
     sum + m.powf(1.0 - s) / (s - 1.0) + 0.5 * m.powf(-s) + s / 12.0 * m.powf(-s - 1.0)
 }
 
-fn ks_discrete(sorted_tail: &[f64], gamma: f64, xmin: u64) -> f64 {
+/// KS distance of a discrete fit, walking `x` up from `x_min`. The walk
+/// returns early, with the running maximum, once that maximum reaches
+/// `stop_at`: callers that keep only a strictly smaller distance discard
+/// the candidate either way.
+fn ks_discrete(sorted_tail: &[f64], gamma: f64, xmin: u64, stop_at: f64) -> f64 {
     // Discrete model CDF from the zeta normalization.
     let z = hurwitz_zeta(gamma, xmin as f64);
     let n = sorted_tail.len() as f64;
@@ -153,6 +166,9 @@ fn ks_discrete(sorted_tail: &[f64], gamma: f64, xmin: u64) -> f64 {
         }
         let emp = idx as f64 / n;
         ks = ks.max((cdf - emp).abs());
+        if ks >= stop_at {
+            break;
+        }
         if x > xmin + 100_000 {
             break; // guard: tails beyond 1e5 values contribute negligibly
         }
@@ -160,28 +176,41 @@ fn ks_discrete(sorted_tail: &[f64], gamma: f64, xmin: u64) -> f64 {
     ks
 }
 
-/// Fits a discrete power law, scanning `x_min` over the distinct sample
+/// Fits a discrete power law, scanning `x_min` up over the distinct sample
 /// values and keeping the fit with the smallest KS distance (the CSN
-/// procedure). `max_xmin` bounds the scan so at least ~10 tail points
-/// remain.
+/// procedure; the first of equal distances wins). The scan stops at the
+/// first `x_min` that leaves fewer than 10 tail samples. `None` when the
+/// samples hold fewer than two distinct values or no candidate fits.
+///
+/// Every candidate equals [`fit_discrete`] at its `x_min`, bit for bit, in
+/// one pass: the tail is shrunk in place, in sample order, so the
+/// log-likelihood sums its terms in the same order, and the empirical CDF
+/// is read off one sorted copy of the samples. A candidate's KS walk stops
+/// once its running maximum reaches the best distance so far.
 pub fn fit_discrete_auto(samples: &[u64]) -> Option<PowerLawFit> {
-    let mut distinct: Vec<u64> = samples.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    if distinct.len() < 2 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    if sorted.first() == sorted.last() {
         return None;
     }
+    let sorted_f64: Vec<f64> = sorted.iter().map(|&x| x as f64).collect();
+    let mut tail = samples.to_vec();
     let mut best: Option<PowerLawFit> = None;
-    for &xmin in &distinct {
-        let tail_n = samples.iter().filter(|&&x| x >= xmin).count();
-        if tail_n < 10 {
-            break;
-        }
-        if let Some(fit) = fit_discrete(samples, xmin) {
-            if best.as_ref().map_or(true, |b| fit.ks < b.ks) {
-                best = Some(fit);
+    let mut start = 0;
+    while sorted.len() - start >= 10 {
+        let xmin = sorted[start];
+        tail.retain(|&x| x >= xmin);
+        if xmin > 0 {
+            let shift = xmin as f64 - 0.5;
+            let log_sum: f64 = tail.iter().map(|&x| (x as f64 / shift).ln()).sum();
+            let bound = best.map_or(f64::INFINITY, |b| b.ks);
+            if let Some(fit) = fit_tail(log_sum, &sorted_f64[start..], xmin, bound) {
+                if best.map_or(true, |b| fit.ks < b.ks) {
+                    best = Some(fit);
+                }
             }
         }
+        start += sorted[start..].partition_point(|&x| x == xmin);
     }
     best
 }
@@ -247,6 +276,78 @@ pub fn sample_discrete(gamma: f64, xmin: u64, rng: &mut StdRng) -> u64 {
 mod tests {
     use super::*;
     use crate::rng::seeded_rng;
+
+    /// The plain x_min scan, one full [`fit_discrete`] per candidate: the
+    /// oracle [`fit_discrete_auto`] must match bit for bit.
+    fn multipass_fit_discrete_auto(samples: &[u64]) -> Option<PowerLawFit> {
+        let mut distinct: Vec<u64> = samples.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        if distinct.len() < 2 {
+            return None;
+        }
+        let mut best: Option<PowerLawFit> = None;
+        for &xmin in &distinct {
+            let tail_n = samples.iter().filter(|&&x| x >= xmin).count();
+            if tail_n < 10 {
+                break;
+            }
+            if let Some(fit) = fit_discrete(samples, xmin) {
+                if best.as_ref().map_or(true, |b| fit.ks < b.ks) {
+                    best = Some(fit);
+                }
+            }
+        }
+        best
+    }
+
+    fn fit_bits(fit: Option<PowerLawFit>) -> Option<(u64, u64, u64, usize, u64)> {
+        fit.map(|f| {
+            (
+                f.gamma.to_bits(),
+                f.gamma_se.to_bits(),
+                f.xmin.to_bits(),
+                f.n_tail,
+                f.ks.to_bits(),
+            )
+        })
+    }
+
+    #[test]
+    fn auto_fit_matches_the_multipass_scan_bit_for_bit() {
+        crate::rng::check(300, |rng| {
+            let len = rng.gen_range(0..400usize);
+            let gamma = rng.gen_range(1.6..3.5);
+            let xmin = rng.gen_range(1..6u64);
+            let mut xs: Vec<u64> = (0..len)
+                .map(|_| sample_discrete(gamma, xmin, rng).min(5000))
+                .collect();
+            // Sometimes a uniform head, zeros, or a plateau of one value.
+            for x in xs.iter_mut() {
+                match rng.gen_range(0..20u64) {
+                    0 => *x = rng.gen_range(0..4u64),
+                    1 => *x = 7,
+                    _ => {}
+                }
+            }
+            assert_eq!(
+                fit_bits(fit_discrete_auto(&xs)),
+                fit_bits(multipass_fit_discrete_auto(&xs)),
+                "{xs:?}"
+            );
+        });
+        for xs in [
+            vec![],
+            vec![3; 50],
+            vec![0; 12],
+            (0..12).collect::<Vec<u64>>(),
+        ] {
+            assert_eq!(
+                fit_bits(fit_discrete_auto(&xs)),
+                fit_bits(multipass_fit_discrete_auto(&xs))
+            );
+        }
+    }
 
     #[test]
     fn continuous_mle_recovers_planted_exponent() {
