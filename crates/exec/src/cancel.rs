@@ -22,6 +22,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use crate::Deadline;
+
 /// A computation was cancelled cooperatively before it completed.
 ///
 /// Carried by `Result::Err` on cancellable entry points; the partial work
@@ -54,6 +56,9 @@ pub struct CancelToken {
     /// Optional external flag — typically a static flipped by a signal
     /// handler — OR-ed into every poll.
     external: Option<&'static AtomicBool>,
+    /// Optional hard deadline: once it has passed, every poll reports
+    /// cancelled, so no supervisor thread has to fire the token.
+    deadline: Option<Deadline>,
 }
 
 impl CancelToken {
@@ -67,8 +72,17 @@ impl CancelToken {
     /// signal handlers, which can only touch static atomics.
     pub fn linked(external: &'static AtomicBool) -> Self {
         Self {
-            flag: Arc::new(AtomicBool::new(false)),
             external: Some(external),
+            ..Self::default()
+        }
+    }
+
+    /// A fresh token that also reports cancelled once `deadline`, if any,
+    /// has passed.
+    pub fn expiring(deadline: Option<Deadline>) -> Self {
+        Self {
+            deadline,
+            ..Self::default()
         }
     }
 
@@ -77,16 +91,14 @@ impl CancelToken {
         self.flag.store(true, Ordering::SeqCst);
     }
 
-    /// Polls the token. `true` once [`cancel`] has been called on any clone
-    /// or the linked external flag has been set.
+    /// Polls the token. `true` once [`cancel`] has been called on any clone,
+    /// the linked external flag has been set, or the deadline has passed.
     ///
     /// [`cancel`]: CancelToken::cancel
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::SeqCst)
-            || self
-                .external
-                .map(|e| e.load(Ordering::SeqCst))
-                .unwrap_or(false)
+            || self.external.is_some_and(|e| e.load(Ordering::SeqCst))
+            || self.deadline.is_some_and(|d| d.is_expired())
     }
 
     /// `Err(Cancelled)` once the token is cancelled, `Ok(())` otherwise.
@@ -137,6 +149,18 @@ mod tests {
         assert!(!t.is_cancelled(), "own flag was never set");
         c.cancel();
         assert!(t.is_cancelled());
+    }
+
+    #[test]
+    fn expiring_token_cancels_itself_at_its_deadline() {
+        assert!(!CancelToken::expiring(None).is_cancelled());
+        let t = CancelToken::expiring(Some(Deadline::after_millis(60_000)));
+        assert!(!t.is_cancelled(), "deadline still a minute away");
+        t.cancel();
+        assert!(t.is_cancelled(), "an explicit cancel still wins");
+        let t = CancelToken::expiring(Some(Deadline::after_millis(0)));
+        assert!(t.is_cancelled(), "a passed deadline cancels");
+        assert!(t.clone().is_cancelled(), "clones share the deadline");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   merely reports whether the budget was overrun (the metrics layer turns
 //!   an overrun into a `Degraded` status annotation);
 //! * a **hard deadline** ([`Deadline`]) is a point in time after which a
-//!   supervisor (the service reaper) fires a cancel token; the task then
-//!   winds down cooperatively at its next poll.
+//!   cancel token built with [`crate::CancelToken::expiring`] reports
+//!   cancelled; the task then winds down cooperatively at its next poll.
 //!
 //! Keeping both in one module makes the semantics greppable: nothing in the
 //! workspace kills a thread, ever — deadlines either annotate or cancel.
@@ -63,10 +63,9 @@ impl StopWatch {
 
 /// A hard deadline: a fixed point in time to compare against.
 ///
-/// Carries no enforcement of its own — a supervisor polls
-/// [`Deadline::is_expired`] and fires a [`crate::CancelToken`] when it
-/// trips, and [`Deadline::remaining`] bounds how long that supervisor needs
-/// to park between polls.
+/// Carries no enforcement of its own — an expiring
+/// [`crate::CancelToken`] polls [`Deadline::is_expired`], and
+/// [`Deadline::remaining`] bounds how long a waiter may park.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline {
     at: Instant,

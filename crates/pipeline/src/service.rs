@@ -21,7 +21,7 @@
 //! ## Architecture
 //!
 //! ```text
-//!            accept loop (non-blocking poll; service.accept failpoint)
+//!            accept loop (blocking accept; service.accept failpoint)
 //!                 │  one thread per connection, panic-fenced,
 //!                 │  read/write timeouts, bounded request size
 //!                 ▼
@@ -34,8 +34,8 @@
 //!    ▼
 //!  bounded FIFO queue ──▶ worker pool (fixed threads, service.worker
 //!                          failpoint, panic fence, bounded retries)
-//!                            │ per-job CancelToken: deadline reaper or
-//!                            │ drain timeout fires it cooperatively
+//!                            │ per-job CancelToken: expires at the job
+//!                            │ deadline; cancel or drain timeout fires it
 //!                            ▼
 //!                          run_scenario_with(ExecOptions{cancel, store})
 //! ```
@@ -62,20 +62,22 @@
 //!
 //! ## Shutdown semantics
 //!
-//! SIGTERM or first SIGINT (via [`ServiceConfig::drain_flag`]) and the
-//! `drain` command all start a **graceful drain**: admission stops (new
+//! The `drain` command starts a **graceful drain**; the CLI turns SIGTERM
+//! and the first SIGINT into that same command. Admission stops (new
 //! submissions are rejected with a `draining` error), workers finish their
 //! in-flight jobs, and still-queued jobs stay journaled on disk for the
-//! next incarnation. A drain that completes within
-//! [`ServiceConfig::drain_timeout_ms`] exits the daemon with code 0; on
-//! timeout the in-flight jobs' cancel tokens fire, their progress
+//! next incarnation. The drain routine wakes every waiter it concerns — the
+//! workers, the control-plane observers, and the blocked `accept` (with one
+//! loopback connection) — so no thread polls for it. A drain that completes
+//! within [`ServiceConfig::drain_timeout_ms`] exits the daemon with code 0;
+//! on timeout the in-flight jobs' cancel tokens fire, their progress
 //! checkpoints cooperatively, and the daemon exits 6 (interrupted,
 //! resumable) — the same contract as an interrupted `inet run`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -138,9 +140,6 @@ pub struct ServiceConfig {
     /// per job, and the capped-backoff delay is slept before each requeue.
     /// Deterministic scenario errors never retry regardless.
     pub retry: RetryPolicy,
-    /// External drain trigger — the bridge from SIGTERM/SIGINT handlers,
-    /// which may only touch static atomics. Polled by the accept loop.
-    pub drain_flag: Option<&'static AtomicBool>,
     /// Suppress the daemon's stderr log lines (tests).
     pub quiet: bool,
 }
@@ -163,7 +162,6 @@ impl Default for ServiceConfig {
                 base_delay_ms: 10,
                 max_delay_ms: 200,
             },
-            drain_flag: None,
             quiet: false,
         }
     }
@@ -229,11 +227,10 @@ struct Job {
     deadline_ms: Option<u64>,
     /// Wall-clock deadline, armed when the job starts running.
     deadline_at: Option<Deadline>,
-    /// Token of the running execution; the reaper, `cancel` command, and
-    /// drain timeout fire it.
+    /// Token of the running execution; it expires at `deadline_at`, and
+    /// the `cancel` command and the drain timeout fire it.
     cancel: Option<CancelToken>,
     cancel_requested: bool,
-    deadline_fired: bool,
     /// When the job (re-)entered the queue; consumed into the
     /// `inet_job_queue_wait_ms` histogram when a worker picks it up.
     queued_at: Option<std::time::Instant>,
@@ -252,18 +249,19 @@ struct State {
     wake: Condvar,
     jobs: Mutex<BTreeMap<String, Job>>,
     /// Control-plane event generation, bumped by [`State::notify_control`]
-    /// on every observable change (job phase transition, deadline armed,
-    /// drain trigger, stop). Paired with `control_wake`; a separate mutex
-    /// from `queue` because a `std::sync::Condvar` may only ever be used
-    /// with one mutex.
+    /// on every observable change (job phase transition, drain trigger,
+    /// handler exit). Paired with `control_wake`; a separate mutex from
+    /// `queue` because a `std::sync::Condvar` may only ever be used with
+    /// one mutex.
     control: Mutex<u64>,
-    /// Parks the accept loop, drain wait, reaper, and status long-polls;
-    /// woken by [`State::notify_control`] instead of sleep-polling.
+    /// Parks [`State::wait_for`]: the drain wait, the linger, and status
+    /// long-polls.
     control_wake: Condvar,
     draining: AtomicBool,
-    /// Set once the drain has finished; parks the reaper and any workers
-    /// still waiting on the queue.
-    stopped: AtomicBool,
+    /// Where a local client reaches the listener: the bound address, with
+    /// an unspecified IP replaced by loopback. [`State::drain`] connects
+    /// here once to wake the blocked `accept`.
+    loopback: SocketAddr,
     /// Connection-handler threads still running. The drain path lingers
     /// (bounded) until this reaches zero so the response to the very
     /// request that triggered the drain is not severed by process exit —
@@ -296,11 +294,26 @@ impl State {
 
     fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
-            || self
-                .cfg
-                .drain_flag
-                .map(|f| f.load(Ordering::SeqCst))
-                .unwrap_or(false)
+    }
+
+    /// The one drain routine, behind the `drain` command (and so behind
+    /// the CLI's SIGTERM and first SIGINT). The flag is set and the
+    /// workers notified under the queue lock, so a worker between its
+    /// `draining()` check and its park cannot miss the notify. Then a
+    /// control event wakes the control-plane observers, and one loopback
+    /// connection wakes the blocked `accept`. Later calls do nothing.
+    fn drain(&self) {
+        {
+            let _queue = lock(&self.queue);
+            if self.draining.swap(true, Ordering::SeqCst) {
+                return;
+            }
+            self.wake.notify_all();
+        }
+        self.notify_control();
+        if let Err(e) = TcpStream::connect(self.loopback) {
+            self.log(&format!("cannot wake the accept loop: {e}"));
+        }
     }
 
     /// A deterministic back-off hint for rejected submissions, scaled by
@@ -350,43 +363,37 @@ impl State {
     }
 
     /// Publishes a control-plane event: bumps the generation and wakes
-    /// every parked observer (accept loop, drain wait, reaper, status
-    /// long-polls). Cheap enough to call on every job transition.
+    /// every [`State::wait_for`]. Cheap enough to call on every job
+    /// transition.
     fn notify_control(&self) {
         *lock(&self.control) += 1;
         self.control_wake.notify_all();
     }
 
-    /// The current control-plane generation; pass it to
-    /// [`State::wait_control_change`] to park until the *next* event.
-    fn control_gen(&self) -> u64 {
-        *lock(&self.control)
-    }
-
-    /// Parks until a control event newer than `seen` is published or
-    /// `timeout` elapses — the lost-wakeup-free replacement for the old
-    /// `thread::sleep` polls: an event published between reading `seen`
-    /// and parking returns immediately.
-    fn wait_control_change(&self, seen: u64, timeout: Duration) {
-        let deadline = Deadline::after_millis(timeout.as_millis() as u64);
-        let mut gen = lock(&self.control);
-        while *gen == seen {
-            let remaining = deadline.remaining();
-            if remaining.is_zero() {
-                return;
+    /// Parks on the control plane until `done()` holds (true) or `until`
+    /// passes (false). The generation is read before each check, so an
+    /// event published between the check and the park still wakes it.
+    fn wait_for(&self, until: Deadline, mut done: impl FnMut() -> bool) -> bool {
+        loop {
+            let seen = *lock(&self.control);
+            if done() {
+                return true;
             }
-            let (guard, _) = self
-                .control_wake
-                .wait_timeout(gen, remaining)
-                .unwrap_or_else(|p| p.into_inner());
-            gen = guard;
+            if until.is_expired() {
+                return false;
+            }
+            let gen = lock(&self.control);
+            if *gen == seen {
+                let _ = self.control_wake.wait_timeout(gen, until.remaining());
+            }
         }
     }
 
-    /// Bounded park on the control plane with no particular generation to
-    /// watch — wakes on any event or after `timeout`, whichever is first.
-    fn wait_control(&self, timeout: Duration) {
-        self.wait_control_change(self.control_gen(), timeout);
+    fn running(&self) -> usize {
+        let jobs = lock(&self.jobs);
+        jobs.values()
+            .filter(|j| j.phase() == Phase::Running)
+            .count()
     }
 }
 
@@ -407,9 +414,15 @@ impl Service {
         })?;
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| PipelineError::Data(format!("serve: cannot bind {}: {e}", cfg.addr)))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| PipelineError::Data(format!("serve: set_nonblocking: {e}")))?;
+        let mut loopback = listener
+            .local_addr()
+            .map_err(|e| PipelineError::Data(format!("serve: local_addr: {e}")))?;
+        if loopback.ip().is_unspecified() {
+            loopback.set_ip(match loopback {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let registry = Registry::new();
         let state = Arc::new(State {
             cfg,
@@ -419,7 +432,7 @@ impl Service {
             control: Mutex::new(0),
             control_wake: Condvar::new(),
             draining: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
+            loopback,
             conns: AtomicU64::new(0),
             conn_seq: AtomicU64::new(0),
             submit_seq: AtomicU64::new(0),
@@ -439,9 +452,16 @@ impl Service {
             .map_err(|e| PipelineError::Data(format!("serve: local_addr: {e}")))
     }
 
-    /// Runs the daemon: crash-recovery scan, worker pool, deadline
-    /// reaper, then the accept loop until a drain trigger fires. Returns
-    /// how the drain ended; the CLI maps that onto exit 0 / exit 6.
+    /// The address a local client dials to reach this daemon: the bound
+    /// address, with an unspecified IP (`0.0.0.0`, `::`) replaced by
+    /// loopback.
+    pub fn loopback_addr(&self) -> SocketAddr {
+        self.state.loopback
+    }
+
+    /// Runs the daemon: crash-recovery scan, worker pool, then the accept
+    /// loop until a drain trigger fires. Returns how the drain ended; the
+    /// CLI maps that onto exit 0 / exit 6.
     pub fn run(self) -> Result<ServeExit, PipelineError> {
         let state = self.state;
         let recovered = recover(&state);
@@ -461,16 +481,10 @@ impl Service {
                     .map_err(|e| PipelineError::Data(format!("serve: spawn worker: {e}")))?,
             );
         }
-        let reaper = {
-            let st = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("inet-serve-reaper".to_string())
-                .spawn(move || reaper_loop(&st))
-                .map_err(|e| PipelineError::Data(format!("serve: spawn reaper: {e}")))?
-        };
 
-        // Accept loop: non-blocking so drain triggers are observed within
-        // one poll interval even with no traffic.
+        // Accept loop. `accept` blocks; [`State::drain`] wakes it with one
+        // loopback connection, which is served like any other and reads
+        // as a closed request.
         while !state.draining() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -497,65 +511,38 @@ impl Service {
                         state.log(&format!("cannot spawn connection thread: {e}"));
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Park on the control plane rather than sleeping blind:
-                    // a drain trigger wakes the loop immediately, while the
-                    // bound keeps the non-blocking listener polled.
-                    state.wait_control(Duration::from_millis(15));
-                }
                 Err(e) => {
                     // Transient accept failure (EMFILE, ECONNABORTED...):
-                    // log and keep serving.
+                    // log and keep serving, after a short pause so a
+                    // persistent error cannot spin the loop.
                     state.log(&format!("accept error: {e}"));
-                    state.wait_control(Duration::from_millis(15));
+                    std::thread::sleep(Duration::from_millis(15));
                 }
             }
         }
         drop(self.listener);
-        state.draining.store(true, Ordering::SeqCst);
         state.log("draining: admission stopped, waiting for in-flight jobs");
-        // Workers park as soon as their current job (if any) completes.
-        state.wake.notify_all();
-        state.notify_control();
 
         let drain_deadline = Deadline::after_millis(state.cfg.drain_timeout_ms);
-        let mut timed_out = false;
-        loop {
-            // Capture the generation before counting so a job finishing
-            // between the count and the park still wakes us.
-            let seen = state.control_gen();
-            let running = lock(&state.jobs)
-                .values()
-                .filter(|j| j.phase() == Phase::Running)
-                .count();
-            if running == 0 {
-                break;
-            }
-            if drain_deadline.is_expired() {
-                timed_out = true;
-                state.log(&format!(
-                    "drain timeout after {} ms: cancelling {running} in-flight job(s) \
-                     (progress is checkpointed; they resume on restart)",
-                    state.cfg.drain_timeout_ms
-                ));
-                for job in lock(&state.jobs).values() {
-                    if let Some(token) = &job.cancel {
-                        token.cancel();
-                    }
+        let timed_out = !state.wait_for(drain_deadline, || state.running() == 0);
+        if timed_out {
+            state.log(&format!(
+                "drain timeout after {} ms: cancelling {} in-flight job(s) \
+                 (progress is checkpointed; they resume on restart)",
+                state.cfg.drain_timeout_ms,
+                state.running()
+            ));
+            for job in lock(&state.jobs).values() {
+                if let Some(token) = &job.cancel {
+                    token.cancel();
                 }
-                break;
             }
-            let bound = drain_deadline.remaining().min(Duration::from_millis(100));
-            state.wait_control_change(seen, bound);
         }
         // After a forced cancel the workers still need a moment to unwind
         // cooperatively; join covers both paths.
         for handle in workers {
             let _ = handle.join();
         }
-        state.stopped.store(true, Ordering::SeqCst);
-        state.notify_control();
-        let _ = reaper.join();
         // Linger (bounded) for in-flight connection handlers — above all
         // the one whose `drain` request triggered this shutdown: exiting
         // before its response line is flushed would sever the very reply
@@ -568,13 +555,7 @@ impl Service {
                 .saturating_add(state.cfg.write_timeout_ms)
                 .max(250),
         );
-        loop {
-            let seen = state.control_gen();
-            if state.conns.load(Ordering::SeqCst) == 0 || linger.is_expired() {
-                break;
-            }
-            state.wait_control_change(seen, linger.remaining().min(Duration::from_millis(50)));
-        }
+        state.wait_for(linger, || state.conns.load(Ordering::SeqCst) == 0);
         let left = lock(&state.queue).len();
         if left > 0 {
             state.log(&format!(
@@ -683,11 +664,9 @@ fn worker_loop(state: &Arc<State>) {
                 if let Some(id) = q.pop_front() {
                     break id;
                 }
-                let (guard, _) = state
-                    .wake
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap_or_else(|p| p.into_inner());
-                q = guard;
+                // Pushes and the drain flag change only under this lock,
+                // and each is notified, so this unbounded wait misses none.
+                q = state.wake.wait(q).unwrap_or_else(|p| p.into_inner());
             }
         };
         run_job(state, &id);
@@ -707,10 +686,8 @@ fn run_job(state: &Arc<State>, id: &str) {
             return; // cancelled while queued
         }
         job.phase = Some(Phase::Running);
-        job.deadline_fired = false;
-        let token = CancelToken::new();
-        job.cancel = Some(token.clone());
         job.deadline_at = job.deadline_ms.map(Deadline::after_millis);
+        job.cancel = Some(CancelToken::expiring(job.deadline_at));
         job.attempts += 1;
         (job.attempts - 1, job.queued_at.take())
     };
@@ -720,9 +697,6 @@ fn run_job(state: &Arc<State>, id: &str) {
             .histogram("inet_job_queue_wait_ms", &[])
             .observe(at.elapsed().as_millis() as u64);
     }
-    // Wake the reaper so a freshly armed deadline is observed immediately
-    // instead of on its next fallback poll.
-    state.notify_control();
     let run_started = std::time::Instant::now();
     let outcome = run_fenced(&Task::new("service.worker", attempt), || {
         inet_fault::check("service.worker", attempt)
@@ -744,15 +718,16 @@ fn run_job(state: &Arc<State>, id: &str) {
             return;
         }
         Ok(Err(PipelineError::Interrupted(_))) => {
-            let (deadline_fired, cancel_requested) = {
+            let (deadline_passed, cancel_requested) = {
                 let jobs = lock(&state.jobs);
                 let job = jobs.get(id);
                 (
-                    job.map(|j| j.deadline_fired).unwrap_or(false),
-                    job.map(|j| j.cancel_requested).unwrap_or(false),
+                    job.and_then(|j| j.deadline_at)
+                        .is_some_and(|d| d.is_expired()),
+                    job.is_some_and(|j| j.cancel_requested),
                 )
             };
-            if deadline_fired {
+            if deadline_passed {
                 state.failed.inc();
                 state.set_phase(id, Phase::Deadline, "deadline exceeded; job cancelled");
                 state.log(&format!("job {id}: deadline exceeded"));
@@ -837,34 +812,6 @@ fn execute(state: &Arc<State>, id: &str) -> Result<(), PipelineError> {
         },
     )
     .map(|_| ())
-}
-
-/// Fires the cancel token of any running job past its deadline. The reaper
-/// parks on the control condvar until the earliest armed deadline (capped
-/// at 500 ms when none is armed) and is woken eagerly whenever a worker
-/// arms one, so firing latency is bounded by the deadline itself rather
-/// than a poll interval.
-fn reaper_loop(state: &Arc<State>) {
-    while !state.stopped.load(Ordering::SeqCst) {
-        let seen = state.control_gen();
-        let mut next = Duration::from_millis(500);
-        {
-            let mut jobs = lock(&state.jobs);
-            for job in jobs.values_mut() {
-                if job.phase() == Phase::Running && !job.deadline_fired {
-                    if let (Some(at), Some(token)) = (job.deadline_at, job.cancel.as_ref()) {
-                        if at.is_expired() {
-                            job.deadline_fired = true;
-                            token.cancel();
-                        } else {
-                            next = next.min(at.remaining());
-                        }
-                    }
-                }
-            }
-        }
-        state.wait_control_change(seen, next.max(Duration::from_millis(1)));
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -997,10 +944,7 @@ fn dispatch(state: &Arc<State>, req: &BTreeMap<String, JsonVal>) -> String {
         Some("stats") => stats(state),
         Some("metrics") => metrics(state),
         Some("drain") => {
-            state.draining.store(true, Ordering::SeqCst);
-            state.wake.notify_all();
-            // Wake the accept loop out of its park so admission stops now.
-            state.notify_control();
+            state.drain();
             r#"{"status":"ok","draining":1}"#.to_string()
         }
         Some(other) => error_response(&format!(
@@ -1119,36 +1063,32 @@ fn status(state: &Arc<State>, req: &BTreeMap<String, JsonVal>) -> String {
             .unwrap_or(0)
             .min(30_000),
     );
-    loop {
-        let seen = state.control_gen();
-        {
-            let jobs = lock(&state.jobs);
-            let (id, job) = match job_or_error(&jobs, req) {
-                Ok(pair) => pair,
-                Err(resp) => return resp,
-            };
-            let settled = !matches!(job.phase(), Phase::Queued | Phase::Running);
-            if settled || wait.is_expired() {
-                let mut out = format!(
-                    r#"{{"status":"{}","job":"{}","attempts":{}"#,
-                    job.phase().as_str(),
-                    escape_json(id),
-                    job.attempts
-                );
-                if job.phase() == Phase::Queued {
-                    if let Some(pos) = lock(&state.queue).iter().position(|q| q == id) {
-                        let _ = write!(out, r#","position":{}"#, pos + 1);
-                    }
-                }
-                if !job.error.is_empty() {
-                    let _ = write!(out, r#","error":"{}""#, escape_json(&job.error));
-                }
-                out.push('}');
-                return out;
-            }
+    state.wait_for(wait, || {
+        job_or_error(&lock(&state.jobs), req).map_or(true, |(_, job)| {
+            !matches!(job.phase(), Phase::Queued | Phase::Running)
+        })
+    });
+    let jobs = lock(&state.jobs);
+    let (id, job) = match job_or_error(&jobs, req) {
+        Ok(pair) => pair,
+        Err(resp) => return resp,
+    };
+    let mut out = format!(
+        r#"{{"status":"{}","job":"{}","attempts":{}"#,
+        job.phase().as_str(),
+        escape_json(id),
+        job.attempts
+    );
+    if job.phase() == Phase::Queued {
+        if let Some(pos) = lock(&state.queue).iter().position(|q| q == id) {
+            let _ = write!(out, r#","position":{}"#, pos + 1);
         }
-        state.wait_control_change(seen, wait.remaining().min(Duration::from_millis(250)));
     }
+    if !job.error.is_empty() {
+        let _ = write!(out, r#","error":"{}""#, escape_json(&job.error));
+    }
+    out.push('}');
+    out
 }
 
 fn result(state: &Arc<State>, req: &BTreeMap<String, JsonVal>) -> String {
@@ -1243,10 +1183,7 @@ fn cancel(state: &Arc<State>, req: &BTreeMap<String, JsonVal>) -> String {
 
 fn stats(state: &Arc<State>) -> String {
     let queued = lock(&state.queue).len();
-    let running = lock(&state.jobs)
-        .values()
-        .filter(|j| j.phase() == Phase::Running)
-        .count();
+    let running = state.running();
     format!(
         r#"{{"status":"ok","queued":{queued},"running":{running},"capacity":{},"workers":{},"accepted":{},"rejected":{},"completed":{},"failed":{},"draining":{}}}"#,
         state.cfg.queue_capacity,
@@ -1266,10 +1203,7 @@ fn stats(state: &Arc<State>) -> String {
 /// is one line per response; `inet job metrics` unescapes and prints it.
 fn metrics(state: &Arc<State>) -> String {
     let queued = lock(&state.queue).len();
-    let running = lock(&state.jobs)
-        .values()
-        .filter(|j| j.phase() == Phase::Running)
-        .count();
+    let running = state.running();
     state
         .registry
         .gauge("inet_jobs_queued", &[])
@@ -1603,6 +1537,36 @@ mod tests {
         assert!(hint >= 250, "{hint}");
         assert_eq!(service.state.rejected.value(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// No wait in the daemon has a fallback timeout, so a missed notify
+    /// would hang `run()` forever. Fifty bind–submit–drain rounds with four
+    /// workers turn such a hang into a failure: each `run()` must return
+    /// within 5 s.
+    #[test]
+    fn drain_never_loses_a_wakeup() {
+        let _lock = crate::test_lock();
+        for round in 0..50 {
+            let dir = temp_dir("wakeup");
+            let (addr, handle) = start(ServiceConfig {
+                workers: 4,
+                ..test_config(dir.join("runs"))
+            });
+            let (done, exited) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = done.send(handle.join());
+            });
+            if round % 2 == 0 {
+                let resp = request(&addr, &encode_submit(TINY, "t.toml", &[], None), 2_000);
+                assert!(resp.unwrap().contains("accepted"), "round {round}");
+            }
+            request(&addr, &encode_cmd("drain", None), 2_000).unwrap();
+            let exit = exited
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("round {round}: run() still blocked 5 s after drain"));
+            assert_eq!(exit.unwrap().unwrap(), ServeExit::Clean, "round {round}");
+        }
+        let _ = std::fs::remove_dir_all(temp_dir("wakeup"));
     }
 
     #[test]

@@ -67,17 +67,38 @@ static INTERRUPTED: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
 mod sig {
-    use std::sync::atomic::Ordering;
+    use std::io::Read as _;
+    use std::net::SocketAddr;
+    use std::os::fd::IntoRawFd as _;
+    use std::sync::atomic::{AtomicI32, Ordering};
+
+    use super::service;
 
     // Minimal libc surface, declared by hand so the binary stays
-    // dependency-free: installing a SIGINT handler needs nothing more.
+    // dependency-free: installing the handlers needs nothing more.
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
         fn _exit(code: i32) -> !;
     }
 
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
+
+    /// Write end of `inet serve`'s drain pipe; -1 in every other command.
+    static DRAIN_PIPE: AtomicI32 = AtomicI32::new(-1);
+
+    /// Asks the drain bridge for a drain. `write(2)` is async-signal-safe,
+    /// and the bridge reads each byte as it arrives, so the write does not
+    /// block on a full pipe.
+    fn request_drain() {
+        let fd = DRAIN_PIPE.load(Ordering::SeqCst);
+        if fd >= 0 {
+            // SAFETY: `fd` is the pipe's write end, which is never closed,
+            // and the buffer is one live byte.
+            unsafe { write(fd, [1u8].as_ptr(), 1) };
+        }
+    }
 
     extern "C" fn on_sigint(_: i32) {
         if super::INTERRUPTED.swap(true, Ordering::SeqCst) {
@@ -85,12 +106,14 @@ mod sig {
             // unwind and die the way the default handler would.
             unsafe { _exit(130) }
         }
+        request_drain();
     }
 
     extern "C" fn on_sigterm(_: i32) {
         // SIGTERM never escalates: service managers may deliver it more
         // than once while the drain runs its course.
         super::INTERRUPTED.store(true, Ordering::SeqCst);
+        request_drain();
     }
 
     /// Installs the cooperative SIGINT handler.
@@ -100,19 +123,45 @@ mod sig {
         }
     }
 
-    /// Installs the SIGTERM → graceful-drain handler (serve mode only:
-    /// batch commands keep the default die-on-TERM behavior).
-    pub fn install_term() {
-        unsafe {
-            signal(SIGTERM, on_sigterm);
+    /// Serve mode: SIGTERM and the first SIGINT become the protocol's
+    /// `drain` command. The handlers write one byte to a pipe; a bridge
+    /// thread blocks on its read end and sends `{"cmd":"drain"}` to the
+    /// daemon at `addr` for each byte, so SIGTERM is the drain command
+    /// itself. The write end is never closed, so the read end stays open
+    /// and a repeated signal only sends one more, harmless, drain. The
+    /// bridge is never joined: it blocks on the pipe for the life of the
+    /// process. Batch commands keep the default die-on-TERM behavior.
+    pub fn install_drain(addr: SocketAddr, timeout_ms: u64) -> std::io::Result<()> {
+        let (mut signals, writer) = std::io::pipe()?;
+        let addr = addr.to_string();
+        let request = service::encode_cmd("drain", None);
+        std::thread::Builder::new()
+            .name("inet-serve-signals".to_string())
+            .spawn(move || {
+                let mut byte = [0u8; 1];
+                while let Ok(1) = signals.read(&mut byte) {
+                    // Refused once the daemon has stopped listening.
+                    let _ = service::request(&addr, &request, timeout_ms);
+                }
+            })?;
+        DRAIN_PIPE.store(writer.into_raw_fd(), Ordering::SeqCst);
+        // SAFETY: `on_sigterm` touches only atomics and `write(2)`, all
+        // async-signal-safe.
+        unsafe { signal(SIGTERM, on_sigterm) };
+        // A first Ctrl-C that landed before the pipe existed still drains.
+        if super::INTERRUPTED.load(Ordering::SeqCst) {
+            request_drain();
         }
+        Ok(())
     }
 }
 
 #[cfg(not(unix))]
 mod sig {
     pub fn install() {}
-    pub fn install_term() {}
+    pub fn install_drain(_: std::net::SocketAddr, _: u64) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Executes a scenario with the SIGINT-linked cancel token (and, for
@@ -1152,7 +1201,6 @@ fn run(cmd: Command) -> Result<(), PipelineError> {
 /// the documented table: clean drain 0, drain timeout 6 (in-flight jobs
 /// are checkpointed and resume on restart), second SIGINT 130.
 fn run_serve(args: ServeArgs) -> Result<(), PipelineError> {
-    sig::install_term();
     let cfg = ServiceConfig {
         addr: args.addr,
         workers: args.workers,
@@ -1164,11 +1212,12 @@ fn run_serve(args: ServeArgs) -> Result<(), PipelineError> {
         write_timeout_ms: args.read_timeout_ms,
         max_request_bytes: args.max_request_bytes,
         job_threads: args.job_threads,
-        drain_flag: Some(&INTERRUPTED),
         quiet: false,
         ..ServiceConfig::default()
     };
     let service = Service::bind(cfg)?;
+    sig::install_drain(service.loopback_addr(), args.read_timeout_ms)
+        .map_err(|e| PipelineError::Data(format!("serve: signal bridge: {e}")))?;
     // Scripts parse this line for the resolved (possibly ephemeral) port.
     println!("# serving on {}", service.local_addr()?);
     match service.run()? {

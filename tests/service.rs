@@ -1,8 +1,9 @@
 //! Integration suite for the `inet serve` daemon: protocol robustness
 //! (oversized requests, stalled clients, malformed JSON), per-job
-//! deadlines, crash recovery of interrupted jobs, and the headline chaos
-//! scenario — SIGKILL the daemon binary mid-job and prove the restarted
-//! daemon resumes the accepted job to output identical to a clean run.
+//! deadlines, crash recovery of interrupted jobs, request latency, drains
+//! by real SIGTERM and SIGINT, and the headline chaos scenario — SIGKILL
+//! the daemon binary mid-job and prove the restarted daemon resumes the
+//! accepted job to output identical to a clean run.
 
 use inet_suite::inet_model::pipeline::service::{
     self, encode_cmd, encode_submit, Service, ServiceConfig,
@@ -11,6 +12,7 @@ use inet_suite::inet_model::pipeline::{run_scenario, RunStore, Scenario};
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::process::Stdio;
 use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -232,7 +234,7 @@ fn accepted_job_from_a_crashed_daemon_is_recovered_and_completed() {
 }
 
 /// Spawns the real `inet` binary as a daemon and returns (child, addr).
-fn spawn_daemon(runs: &Path) -> (std::process::Child, String) {
+fn spawn_daemon(runs: &Path, stderr: Stdio) -> (std::process::Child, String) {
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_inet"))
         .args([
             "serve",
@@ -242,8 +244,8 @@ fn spawn_daemon(runs: &Path) -> (std::process::Child, String) {
             "--runs-dir",
             runs.to_str().unwrap(),
         ])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(stderr)
         .spawn()
         .unwrap();
     let mut line = String::new();
@@ -266,7 +268,7 @@ fn spawn_daemon(runs: &Path) -> (std::process::Child, String) {
 fn sigkill_mid_job_restarted_daemon_resumes_to_identical_output() {
     let dir = temp_dir("sigkill");
     let runs = dir.join("runs");
-    let (mut child, addr) = spawn_daemon(&runs);
+    let (mut child, addr) = spawn_daemon(&runs, Stdio::null());
     let resp =
         service::request(&addr, &encode_submit(SLOW, "slow.toml", &[], None), 5_000).unwrap();
     assert_eq!(
@@ -290,7 +292,7 @@ fn sigkill_mid_job_restarted_daemon_resumes_to_identical_output() {
     child.wait().unwrap();
     // The restarted daemon must rediscover the accepted job from its
     // journal and resume it cell-granularly to completion.
-    let (mut child, addr) = spawn_daemon(&runs);
+    let (mut child, addr) = spawn_daemon(&runs, Stdio::null());
     let terminal = poll_terminal(&addr, &id, Duration::from_secs(120));
     assert_eq!(
         service::response_field(&terminal, "status").as_deref(),
@@ -309,9 +311,86 @@ fn sigkill_mid_job_restarted_daemon_resumes_to_identical_output() {
         served.contains("resumed "),
         "the sweep should actually have resumed from the checkpoint, not re-run: {served}"
     );
-    // SIGTERM → graceful drain → clean exit 0.
+    // The `drain` command → graceful drain → clean exit 0.
     drain(&addr);
     let status = child.wait().unwrap();
     assert!(status.success(), "drained daemon must exit 0, got {status}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sends `signal` to an idle `inet serve` process with the real `kill`
+/// command and requires a clean drain: exit 0 within 5 s, with the drain
+/// reported on stderr.
+#[cfg(unix)]
+fn signal_drains_an_idle_daemon(signal: &str) {
+    let dir = temp_dir(&format!("signal_{}", signal.trim_start_matches('-')));
+    let log = dir.join("serve.err");
+    let (mut child, _addr) = spawn_daemon(
+        &dir.join("runs"),
+        std::fs::File::create(&log).unwrap().into(),
+    );
+    let sent = std::process::Command::new("kill")
+        .args([signal, &child.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(sent.success(), "kill {signal} failed: {sent}");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("daemon still running 5 s after kill {signal}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let stderr = std::fs::read_to_string(&log).unwrap();
+    assert!(
+        status.success(),
+        "kill {signal}: exit {status}; stderr:\n{stderr}"
+    );
+    assert!(stderr.contains("drain complete"), "kill {signal}: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_an_idle_daemon_to_exit_0() {
+    signal_drains_an_idle_daemon("-TERM");
+}
+
+#[cfg(unix)]
+#[test]
+fn first_sigint_drains_an_idle_daemon_to_exit_0() {
+    signal_drains_an_idle_daemon("-INT");
+}
+
+/// A trivial request to an idle daemon is answered as soon as it arrives:
+/// the accept loop blocks in `accept` rather than polling, so no request
+/// waits out a park. The idle gaps before the requests differ, so the
+/// arrivals fall at every phase of any poll period up to 15 ms.
+#[test]
+fn stats_round_trip_median_is_under_5_ms() {
+    let dir = temp_dir("latency");
+    let (addr, handle) = start(test_config(dir.join("runs")));
+    let stats = encode_cmd("stats", None);
+    let mut times: Vec<Duration> = (0..21u64)
+        .map(|i| {
+            std::thread::sleep(Duration::from_millis(20 + i * 7 % 15));
+            let t0 = Instant::now();
+            service::request(&addr, &stats, 2_000).unwrap();
+            t0.elapsed()
+        })
+        .collect();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median stats round trip {median:?} (all: {times:?})"
+    );
+    drain(&addr);
+    handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
