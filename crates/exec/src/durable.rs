@@ -1,7 +1,7 @@
 //! Durable file writes: the one place the workspace fsyncs, renames and
-//! checksums what it persists (run stores, telemetry, service markers,
-//! sweep checkpoints), and the one format of an append-only record log
-//! (the run journal, the sweep checkpoint).
+//! checksums what it persists (run stores, telemetry, sweep checkpoints),
+//! and the one format of an append-only record log (the run journal,
+//! which also carries a served job's lifecycle, and the sweep checkpoint).
 //!
 //! Each step that changes the disk — the tmp write, rename and directory
 //! fsync of [`write_atomic`], the write and directory fsync of [`append`],

@@ -910,16 +910,16 @@ mod tests {
                 }
             }
             let reference = reference.unwrap();
-            // Run directory fsync, then scenario copy and manifest (tmp
-            // write, rename, directory fsync each): 7. Source: begin append
-            // plus the journal's directory fsync, the artifact's three
-            // steps, the commit append: 6. Measure: 5. Attack: begin, one
-            // append per cell plus the log's directory fsync, the commit:
-            // cells + 3. Report: 5. Telemetry: 3.
+            // Run directory fsync, then the manifest, which holds the
+            // scenario text (tmp write, rename, directory fsync): 4.
+            // Source: begin append plus the journal's directory fsync, the
+            // artifact's three steps, the commit append: 6. Measure: 5.
+            // Attack: begin, one append per cell plus the log's directory
+            // fsync, the commit: cells + 3. Report: 5. Telemetry: 3.
             let cells = 2;
             assert_eq!(
                 n,
-                7 + 6 + 5 + (cells + 3) + 5 + 3,
+                4 + 6 + 5 + (cells + 3) + 5 + 3,
                 "durable operations per run"
             );
 

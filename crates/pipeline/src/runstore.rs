@@ -6,9 +6,8 @@
 //!
 //! ```text
 //! runs/<run-id>/
-//!   manifest.json      identity: scenario + overrides + version, FNV-hashed
-//!   scenario.toml      verbatim copy of the scenario document
-//!   journal.log        append-only begin/commit records, each sealed with its checksum
+//!   manifest.json      identity: the scenario text, overrides and version, FNV-hashed
+//!   journal.log        append-only begin/commit (and service job) records, each sealed with its checksum
 //!   source.edges       stage-0 artifact (edge list of the topology)
 //!   measure.txt        stage-1 artifact (rendered measurement block)
 //!   attack.ckpt.json   stage-2 artifact (the sweep checkpoint, cell-level)
@@ -18,8 +17,8 @@
 //! ## Commit protocol
 //!
 //! Every write goes through [`inet_exec::durable`]. [`RunStore::create`]
-//! fsyncs the new run directory's entry, then writes the scenario copy and
-//! the manifest atomically, so a listed run always has both whole. A stage
+//! fsyncs the new run directory's entry, then writes the manifest (scenario
+//! text included) atomically, so a listed run always has it whole. A stage
 //! is *committed* when its commit record is in the journal: the artifact is
 //! written atomically (the `artifact.rename` failpoint fires just before),
 //! then the record carrying its FNV-64 checksum is appended (the
@@ -29,8 +28,10 @@
 //! Artifacts are trusted only when a commit record with a matching checksum
 //! exists. The journal is a record log in [`inet_exec::durable`]'s format:
 //! the header `inet-run-journal 1`, then `begin <stage> <name>` and
-//! `commit <stage> <name> <artifact> <checksum> <detail>` records. Readers
-//! never write; a run session cuts a torn tail once, before it appends.
+//! `commit <stage> <name> <artifact> <checksum> <detail>` records; a job
+//! served by `inet serve` adds `job <state> <attempts> <deadline_ms|->
+//! <error>` records, the last intact one being its state. Readers never
+//! write; a run session, and each job record, cuts a torn tail first.
 //! DESIGN.md §4f tabulates the crash points; a test fails every
 //! durable operation of a journaled run in turn and resumes it.
 //!
@@ -58,8 +59,6 @@ pub const JOURNAL_FILE: &str = "journal.log";
 /// The journal's header record: its magic, then the format version.
 const JOURNAL_MAGIC: &str = "inet-run-journal";
 const JOURNAL_VERSION: &str = "1";
-/// Stored scenario copy inside a run directory.
-pub const SCENARIO_FILE: &str = "scenario.toml";
 /// Version stamped into (and hashed into) every manifest.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
@@ -77,6 +76,16 @@ pub struct CommitRecord {
     pub detail: String,
 }
 
+/// A service job's lifecycle, as its last `job` journal record says.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct JobRecord {
+    /// `accepted`, `done`, `failed`, `deadline` or `cancelled`.
+    pub(crate) state: String,
+    pub(crate) attempts: u64,
+    pub(crate) deadline_ms: Option<u64>,
+    pub(crate) error: String,
+}
+
 /// The parsed identity block of a run.
 #[derive(Debug, Clone)]
 struct Manifest {
@@ -85,6 +94,8 @@ struct Manifest {
     scenario_file: String,
     overrides: Vec<String>,
     content_hash: u64,
+    /// The scenario document, verbatim.
+    scenario: String,
 }
 
 /// A handle on one `runs/<run-id>/` directory.
@@ -130,8 +141,8 @@ fn sanitize(name: &str) -> String {
 }
 
 impl RunStore {
-    /// Creates a fresh run directory under `root`, stamping the scenario
-    /// copy and then the manifest, each durably. The id is
+    /// Creates a fresh run directory under `root` and writes its manifest,
+    /// scenario text included, durably. The id is
     /// `<name>-<hash8>`, with a numeric suffix on collision, so re-running
     /// the same scenario never clobbers an earlier run.
     pub fn create(
@@ -168,10 +179,9 @@ impl RunStore {
             scenario_file: scenario_file.to_string(),
             overrides: overrides.to_vec(),
             content_hash: hash,
+            scenario: scenario_text.to_string(),
         };
         let store = RunStore { dir, id, manifest };
-        durable::write_atomic(&store.dir.join(SCENARIO_FILE), scenario_text.as_bytes())
-            .map_err(|e| data(format!("run store: scenario copy: {e}")))?;
         durable::write_atomic(
             &store.dir.join(MANIFEST_FILE),
             store.render_manifest().as_bytes(),
@@ -181,7 +191,7 @@ impl RunStore {
     }
 
     /// Opens an existing run for resumption, verifying the manifest's
-    /// content hash against the stored scenario, overrides, and this
+    /// content hash against its scenario text, overrides, and this
     /// binary's version. A mismatch refuses with a diagnostic rather than
     /// resuming into a different experiment.
     pub fn open(root: &Path, id: &str) -> Result<RunStore, PipelineError> {
@@ -196,9 +206,7 @@ impl RunStore {
             .map_err(|e| data(format!("run '{id}': manifest: {e}")))?;
         let manifest = parse_manifest(&manifest_text)
             .ok_or_else(|| data(format!("run '{id}': manifest.json is malformed")))?;
-        let scenario_text = fs::read_to_string(dir.join(SCENARIO_FILE))
-            .map_err(|e| data(format!("run '{id}': stored scenario: {e}")))?;
-        let actual = content_hash(&scenario_text, &manifest.overrides);
+        let actual = content_hash(&manifest.scenario, &manifest.overrides);
         if actual != manifest.content_hash {
             let mut msg = format!(
                 "run '{id}' refuses to resume: manifest hash {:016x} no longer matches the \
@@ -238,9 +246,8 @@ impl RunStore {
     }
 
     /// The stored scenario document, verbatim.
-    pub fn scenario_text(&self) -> Result<String, PipelineError> {
-        fs::read_to_string(self.dir.join(SCENARIO_FILE))
-            .map_err(|e| data(format!("run '{}': stored scenario: {e}", self.id)))
+    pub fn scenario_text(&self) -> &str {
+        &self.manifest.scenario
     }
 
     /// The `--set` overrides recorded at creation, replayed on resume.
@@ -259,27 +266,49 @@ impl RunStore {
         format!(
             "{{\n  \"version\": \"{}\",\n  \"run\": \"{}\",\n  \"name\": \"{}\",\n  \
              \"scenario_file\": \"{}\",\n  \"overrides\": [{overrides}],\n  \
-             \"content_hash\": \"{:016x}\"\n}}\n",
+             \"content_hash\": \"{:016x}\",\n  \"scenario\": \"{}\"\n}}\n",
             escape_json(&self.manifest.version),
             escape_json(&self.id),
             escape_json(&self.manifest.name),
             escape_json(&self.manifest.scenario_file),
             self.manifest.content_hash,
+            escape_json(&self.manifest.scenario),
         )
     }
 
-    /// Appends one sealed record to the journal, synced, behind the
-    /// `journal.write` failpoint (scope = stage index). A missing or empty
-    /// journal gets its header first.
+    /// Appends one sealed stage record to the journal, behind the
+    /// `journal.write` failpoint (scope = stage index).
     fn append(&self, stage: usize, body: String) -> Result<(), PipelineError> {
         inet_fault::check("journal.write", stage as u64)
             .map_err(|e| data(format!("run '{}': journal: {e}", self.id)))?;
+        self.append_record(&body)
+    }
+
+    /// Appends one sealed record to the journal, synced. A missing or
+    /// empty journal gets its header first.
+    fn append_record(&self, body: &str) -> Result<(), PipelineError> {
         durable::append(
             &self.dir.join(JOURNAL_FILE),
             seal(&format!("{JOURNAL_MAGIC}\t{JOURNAL_VERSION}")).as_bytes(),
-            seal(&body).as_bytes(),
+            seal(body).as_bytes(),
         )
         .map_err(|e| data(format!("run '{}': journal: {e}", self.id)))
+    }
+
+    /// Appends a service job's lifecycle record. A torn tail is cut first,
+    /// by [`RunStore::start_session`]'s rule, so the record is never glued
+    /// onto a fragment and lost with it. Only the `durable.op` failpoint
+    /// fires. The caller guarantees one writer per journal: the worker
+    /// while it runs the job, `cancel` only while the job is queued.
+    pub(crate) fn append_job(&self, job: &JobRecord) -> Result<(), PipelineError> {
+        self.start_session()?;
+        let deadline = job.deadline_ms.map_or("-".to_string(), |ms| ms.to_string());
+        self.append_record(&format!(
+            "job\t{}\t{}\t{deadline}\t{}",
+            job.state,
+            job.attempts,
+            escape(&job.error)
+        ))
     }
 
     /// Journals the start of a stage.
@@ -358,7 +387,7 @@ impl RunStore {
         let journal_err = |e: String| data(format!("run '{}': {JOURNAL_FILE}: {e}", self.id));
         let path = self.path(JOURNAL_FILE);
         let bytes = durable::read_log(&path).map_err(|e| journal_err(e.to_string()))?;
-        let (committed, scan) = read_journal(&bytes);
+        let (committed, _, scan) = read_journal(&bytes);
         scan.map_err(journal_err)?
             .cut_tail(&path)
             .map_err(|e| journal_err(e.to_string()))?;
@@ -387,11 +416,18 @@ impl RunStore {
     }
 }
 
-/// Reads a journal's bytes: the latest commit record per stage among its
-/// intact records, and the [`durable::scan`] of them (whose torn tail a
-/// session cuts) or why the bytes are not a journal.
-fn read_journal(bytes: &[u8]) -> (Vec<Option<CommitRecord>>, Result<durable::Scan<'_>, String>) {
+type Journal<'a> = (
+    Vec<Option<CommitRecord>>,
+    Option<JobRecord>,
+    Result<durable::Scan<'a>, String>,
+);
+
+/// Reads a journal's bytes: the latest commit record per stage and the
+/// last job record among its intact records, and the [`durable::scan`] of
+/// them (whose torn tail a session cuts) or why the bytes are not a journal.
+fn read_journal(bytes: &[u8]) -> Journal<'_> {
     let mut committed: Vec<Option<CommitRecord>> = vec![None; STAGE_NAMES.len()];
+    let mut job = None;
     let scan = durable::scan(bytes, JOURNAL_MAGIC, |index, body| {
         let fields: Vec<&str> = body.split('\t').collect();
         if index == 0 {
@@ -400,6 +436,15 @@ fn read_journal(bytes: &[u8]) -> (Vec<Option<CommitRecord>>, Result<durable::Sca
                 [_, JOURNAL_VERSION] => Ok(()),
                 _ => Err(format!("unsupported journal header {body:?}")),
             };
+        }
+        if let ["job", state, attempts, deadline, error] = fields[..] {
+            job = Some(JobRecord {
+                state: state.to_string(),
+                attempts: attempts.parse().map_err(|_| "bad attempts")?,
+                deadline_ms: deadline.parse().ok(),
+                error: unescape(error)?,
+            });
+            return Ok(());
         }
         let stage = fields
             .get(1)
@@ -420,7 +465,7 @@ fn read_journal(bytes: &[u8]) -> (Vec<Option<CommitRecord>>, Result<durable::Sca
             _ => Err("unknown journal record".to_string()),
         }
     });
-    (committed, scan)
+    (committed, job, scan)
 }
 
 /// One run's identity + progress, for `inet runs list`.
@@ -432,6 +477,8 @@ pub struct RunInfo {
     pub name: String,
     /// Which stages have commit records.
     pub committed: Vec<bool>,
+    /// The last intact `job` record: present exactly for service jobs.
+    pub(crate) job: Option<JobRecord>,
 }
 
 impl RunInfo {
@@ -483,13 +530,15 @@ pub fn scan_runs(root: &Path) -> RunScan {
                     .push(format!("{id}: {MANIFEST_FILE} is torn or malformed")),
                 Some(manifest) => {
                     let bytes = durable::read_log(&dir.join(JOURNAL_FILE));
-                    let (committed, journal) = read_journal(bytes.as_deref().unwrap_or_default());
+                    let (committed, job, journal) =
+                        read_journal(bytes.as_deref().unwrap_or_default());
                     match bytes.as_ref().map_err(|e| e.to_string()).and(journal) {
                         Err(e) => scan.skipped.push(format!("{id}: {JOURNAL_FILE}: {e}")),
                         Ok(_) => scan.runs.push(RunInfo {
                             id,
                             name: manifest.name,
                             committed: committed.iter().map(Option::is_some).collect(),
+                            job,
                         }),
                     }
                 }
@@ -519,12 +568,13 @@ fn parse_manifest(text: &str) -> Option<Manifest> {
             .get("content_hash")
             .and_then(JsonVal::as_str)
             .and_then(|s| u64::from_str_radix(s, 16).ok())?,
+        scenario: obj.get("scenario").and_then(JsonVal::as_str)?.to_string(),
     })
 }
 
 // ---------------------------------------------------------------------
-// Minimal flat-JSON reader for the store's own documents and the serve
-// protocol: one object of string / integer / string-array values.
+// Minimal flat-JSON reader for the manifest and the serve protocol: one
+// object of string / integer / string-array values.
 // Anything else is `None`.
 
 #[derive(Debug, Clone, PartialEq)]
@@ -728,7 +778,19 @@ mod tests {
         let reopened = RunStore::open(&root, store.id()).unwrap();
         assert_eq!(reopened.overrides(), &sets[..]);
         assert_eq!(reopened.manifest.scenario_file, "s.toml");
-        assert_eq!(reopened.scenario_text().unwrap(), DOC);
+        assert_eq!(reopened.scenario_text(), DOC);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A run id depends only on the hash inputs (scenario text, overrides,
+    /// version), never on how the manifest stores them: one id, pinned.
+    #[test]
+    fn run_ids_are_unchanged_by_the_manifest_layout() {
+        let _lock = crate::test_lock();
+        let root = temp_root("known_id");
+        let sets = ["n=200".to_string()];
+        let store = RunStore::create(&root, "Serrano attack", DOC, "s.toml", &sets).unwrap();
+        assert_eq!(store.id(), "serrano-attack-4a336bea");
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -748,7 +810,13 @@ mod tests {
         let _lock = crate::test_lock();
         let root = temp_root("tamper");
         let store = RunStore::create(&root, "ba", DOC, "s.toml", &[]).unwrap();
-        fs::write(store.path(SCENARIO_FILE), DOC.replace("60", "61")).unwrap();
+        let manifest = fs::read_to_string(store.path(MANIFEST_FILE)).unwrap();
+        assert_eq!(manifest.matches("n = 60").count(), 1, "{manifest}");
+        fs::write(
+            store.path(MANIFEST_FILE),
+            manifest.replace("n = 60", "n = 61"),
+        )
+        .unwrap();
         let e = RunStore::open(&root, store.id()).unwrap_err();
         assert_eq!(e.exit_code(), 5, "{e}");
         assert!(e.message().contains("refuses to resume"), "{e}");
@@ -978,6 +1046,36 @@ mod tests {
             scan.skipped
         );
         assert_eq!(fs::read_to_string(bad.path(JOURNAL_FILE)).unwrap(), foreign);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    fn job(state: &str, attempts: u64, deadline_ms: Option<u64>, error: &str) -> JobRecord {
+        JobRecord {
+            state: state.to_string(),
+            attempts,
+            deadline_ms,
+            error: error.to_string(),
+        }
+    }
+
+    #[test]
+    fn job_records_share_the_journal_with_stage_records() {
+        let _lock = crate::test_lock();
+        let root = temp_root("job");
+        let store = RunStore::create(&root, "ba", DOC, "s.toml", &[]).unwrap();
+        let plain = RunStore::create(&root, "plain", DOC, "s.toml", &[]).unwrap();
+        plain.commit_bytes(0, "source.edges", b"x", "").unwrap();
+        store.append_job(&job("accepted", 0, None, "")).unwrap();
+        store.commit_bytes(0, "source.edges", b"x", "").unwrap();
+        let last = job("failed", 2, Some(250), "worker:\tinjected\nfault");
+        store.append_job(&last).unwrap();
+        assert!(store.committed()[0].is_some(), "job records hide no commit");
+        let scan = scan_runs(&root);
+        assert!(scan.skipped.is_empty(), "{:?}", scan.skipped);
+        let info = |id: &str| scan.runs.iter().find(|r| r.id == id).unwrap();
+        assert_eq!(info(store.id()).job, Some(last));
+        assert_eq!(info(store.id()).status(), "at measure");
+        assert_eq!(info(plain.id()).job, None);
         let _ = fs::remove_dir_all(&root);
     }
 

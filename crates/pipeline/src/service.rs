@@ -12,11 +12,12 @@
 //! > rejection response, never a silent drop.
 //!
 //! The invariant holds because admission *is* journaling: a submission is
-//! accepted exactly when its [`RunStore`] directory and `service-job.json`
-//! marker exist on disk. From that point the job is owned by the crash-safe
-//! run store (PR 5): workers execute it through [`run_scenario_with`], so a
-//! SIGKILL at any instant leaves a journal the recovery scan re-enqueues on
-//! restart, and resume replays committed stages from checksummed artifacts.
+//! accepted exactly when its [`RunStore`] manifest and a `job accepted`
+//! record in the run's own journal are on disk; each phase change is one
+//! more `job` record. Workers execute the job through [`run_scenario_with`],
+//! so a SIGKILL at any instant leaves a journal the recovery scan
+//! re-enqueues on restart, and resume replays committed stages from
+//! checksummed artifacts.
 //!
 //! ## Architecture
 //!
@@ -29,7 +30,7 @@
 //!    │  full validation (scenario parse + sink preflight),
 //!    │  bounded queue, service.queue failpoint
 //!    ▼
-//!  RunStore::create + service-job.json        ◀── recovery scan re-enqueues
+//!  RunStore::create + `job accepted` record   ◀── recovery scan re-enqueues
 //!    │                                            interrupted jobs here
 //!    ▼
 //!  bounded FIFO queue ──▶ worker pool (fixed threads, service.worker
@@ -83,20 +84,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use inet_exec::{
-    durable, run_fenced, CancelToken, Deadline, PanicFence, RetryPolicy, Task, TaskError,
-};
+use inet_exec::{run_fenced, CancelToken, Deadline, PanicFence, RetryPolicy, Task, TaskError};
 use inet_obs::{render_prometheus, Counter, Registry};
 
 use crate::report;
 use crate::run::{run_scenario_with, ExecOptions};
-use crate::runstore::{escape_json, parse_flat, JsonVal, RunStore};
+use crate::runstore::{escape_json, parse_flat, scan_runs, JobRecord, JsonVal, RunStore};
 use crate::scenario::Scenario;
 use crate::PipelineError;
-
-/// Marker file inside a run directory that makes the run a *service job*:
-/// carries the job's lifecycle state for the crash-recovery scan.
-pub const JOB_FILE: &str = "service-job.json";
 
 /// Default total attempts for a job hit by an infrastructure fault (a
 /// worker panic or an injected `service.worker` fault) before it is marked
@@ -181,9 +176,9 @@ pub enum ServeExit {
     DrainTimeout,
 }
 
-/// Lifecycle of one job. `Queued` and `Running` persist as `accepted`
-/// in `service-job.json` — both are interrupted-and-resumable states for
-/// the recovery scan; the rest are terminal.
+/// Lifecycle of one job. `Queued` and `Running` are journaled as
+/// `accepted` — both are interrupted-and-resumable states for the recovery
+/// scan; the rest are terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Queued,
@@ -199,17 +194,6 @@ impl Phase {
         match self {
             Phase::Queued => "queued",
             Phase::Running => "running",
-            Phase::Done => "done",
-            Phase::Failed => "failed",
-            Phase::Deadline => "deadline",
-            Phase::Cancelled => "cancelled",
-        }
-    }
-
-    /// The `service-job.json` state string.
-    fn persisted(self) -> &'static str {
-        match self {
-            Phase::Queued | Phase::Running => "accepted",
             Phase::Done => "done",
             Phase::Failed => "failed",
             Phase::Deadline => "deadline",
@@ -239,6 +223,19 @@ struct Job {
 impl Job {
     fn phase(&self) -> Phase {
         self.phase.unwrap_or(Phase::Queued)
+    }
+
+    fn record(&self) -> JobRecord {
+        JobRecord {
+            state: match self.phase() {
+                Phase::Queued | Phase::Running => "accepted",
+                terminal => terminal.as_str(),
+            }
+            .to_string(),
+            attempts: self.attempts,
+            deadline_ms: self.deadline_ms,
+            error: self.error.clone(),
+        }
     }
 }
 
@@ -323,27 +320,16 @@ impl State {
         250 + 500 * backlog / self.cfg.workers.max(1) as u64
     }
 
-    /// Writes `service-job.json` with [`durable::write_atomic`]. A persist
-    /// failure is logged but never unseats the in-memory state: the worst
-    /// case is a stale `accepted` marker, which only means the next
-    /// incarnation replays an idempotent, already-committed run.
+    /// Journals a phase change after admission: one `job` record appended
+    /// to the run's journal. A failure is logged but never unseats the
+    /// in-memory state: the worst case is a stale `accepted` record, which
+    /// only means the next incarnation replays an idempotent,
+    /// already-committed run.
     fn persist(&self, id: &str, job: &Job) {
-        let mut doc = format!(
-            r#"{{"job":"{}","state":"{}","attempts":{}"#,
-            escape_json(id),
-            job.phase().persisted(),
-            job.attempts
-        );
-        if let Some(ms) = job.deadline_ms {
-            let _ = write!(doc, r#","deadline_ms":{ms}"#);
-        }
-        if !job.error.is_empty() {
-            let _ = write!(doc, r#","error":"{}""#, escape_json(&job.error));
-        }
-        doc.push('}');
-        let path = self.cfg.runs_dir.join(id).join(JOB_FILE);
-        if let Err(e) = durable::write_atomic(&path, doc.as_bytes()) {
-            self.log(&format!("job {id}: cannot persist state: {e}"));
+        let appended = RunStore::open(&self.cfg.runs_dir, id)
+            .and_then(|store| store.append_job(&job.record()));
+        if let Err(e) = appended {
+            self.log(&format!("job {id}: cannot persist state: {}", e.message()));
         }
     }
 
@@ -575,81 +561,38 @@ impl Service {
     }
 }
 
-/// The crash-recovery scan: every run directory carrying a
-/// `service-job.json` is a service job. Non-terminal (`accepted`) jobs are
-/// re-enqueued in sorted order; terminal ones are loaded so `status` and
-/// `result` keep answering across daemon restarts. Returns how many jobs
-/// were re-enqueued.
+/// The crash-recovery scan: every run whose journal holds a `job` record
+/// is a service job, in the state of its last intact one. Non-terminal
+/// (`accepted`) jobs are re-enqueued in sorted order; terminal ones are
+/// loaded so `status` and `result` keep answering across daemon restarts.
+/// Runs before any worker starts. Returns how many jobs were re-enqueued.
 fn recover(state: &State) -> usize {
-    let Ok(entries) = std::fs::read_dir(&state.cfg.runs_dir) else {
-        return 0;
-    };
-    let mut ids: Vec<String> = entries
-        .flatten()
-        .filter(|e| e.path().join(JOB_FILE).is_file())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .collect();
-    ids.sort();
-    let mut requeued = 0;
-    for id in ids {
-        let path = state.cfg.runs_dir.join(&id).join(JOB_FILE);
-        let Some(doc) = std::fs::read_to_string(&path)
-            .ok()
-            .as_deref()
-            .and_then(parse_flat)
-        else {
-            // A torn marker means the job never finished admission or
-            // persist; treat it as interrupted-and-accepted (the journal
-            // is the source of truth, replay is idempotent).
-            state.log(&format!("job {id}: torn {JOB_FILE}; re-enqueueing"));
-            enqueue_recovered(state, &id, Job::default());
-            requeued += 1;
-            continue;
+    for run in scan_runs(&state.cfg.runs_dir).runs {
+        let Some(rec) = run.job else { continue };
+        let phase = match rec.state.as_str() {
+            "done" => Phase::Done,
+            "failed" => Phase::Failed,
+            "deadline" => Phase::Deadline,
+            "cancelled" => Phase::Cancelled,
+            _ => Phase::Queued,
         };
         let mut job = Job {
-            attempts: doc
-                .get("attempts")
-                .and_then(JsonVal::as_int)
-                .and_then(|v| u64::try_from(v).ok())
-                .unwrap_or(0),
-            deadline_ms: doc
-                .get("deadline_ms")
-                .and_then(JsonVal::as_int)
-                .and_then(|v| u64::try_from(v).ok()),
-            error: doc
-                .get("error")
-                .and_then(JsonVal::as_str)
-                .unwrap_or_default()
-                .to_string(),
+            phase: Some(phase),
+            attempts: rec.attempts,
+            deadline_ms: rec.deadline_ms,
+            error: rec.error,
             ..Job::default()
         };
-        match doc.get("state").and_then(JsonVal::as_str) {
-            Some("done") => job.phase = Some(Phase::Done),
-            Some("failed") => job.phase = Some(Phase::Failed),
-            Some("deadline") => job.phase = Some(Phase::Deadline),
-            Some("cancelled") => job.phase = Some(Phase::Cancelled),
-            // "accepted", unknown states, or a missing field: the job was
-            // interrupted — resume it.
-            _ => {
-                job.phase = Some(Phase::Queued);
-                // An interrupted attempt must not burn the retry budget.
-                job.attempts = 0;
-                enqueue_recovered(state, &id, job);
-                requeued += 1;
-                continue;
-            }
+        if phase == Phase::Queued {
+            // `accepted`: interrupted, so resume it. An interrupted attempt
+            // must not burn the retry budget.
+            job.attempts = 0;
+            job.queued_at = Some(std::time::Instant::now());
+            lock(&state.queue).push_back(run.id.clone());
         }
-        lock(&state.jobs).insert(id, job);
+        lock(&state.jobs).insert(run.id, job);
     }
-    requeued
-}
-
-fn enqueue_recovered(state: &State, id: &str, mut job: Job) {
-    job.phase = Some(Phase::Queued);
-    job.queued_at = Some(std::time::Instant::now());
-    lock(&state.jobs).insert(id.to_string(), job);
-    lock(&state.queue).push_back(id.to_string());
-    state.wake.notify_one();
+    lock(&state.queue).len()
 }
 
 /// One worker: pop → execute → classify, until drain.
@@ -795,8 +738,7 @@ fn run_job(state: &Arc<State>, id: &str) {
 /// replays whatever the journal already committed.
 fn execute(state: &Arc<State>, id: &str) -> Result<(), PipelineError> {
     let store = RunStore::open(&state.cfg.runs_dir, id)?;
-    let text = store.scenario_text()?;
-    let mut scenario = Scenario::parse_with_overrides(&text, store.overrides())?;
+    let mut scenario = Scenario::parse_with_overrides(store.scenario_text(), store.overrides())?;
     if scenario.threads.is_none() {
         scenario.threads = state.cfg.job_threads;
     }
@@ -965,9 +907,10 @@ fn rejected_response(state: &Arc<State>, msg: &str) -> String {
 
 /// Admission control. A submission is **accepted** only after (in order):
 /// drain check, queue-capacity check, the `service.queue` failpoint, full
-/// scenario validation, sink preflight, and run-store creation — so every
-/// accepted job is already journaled, and everything that fails any of
-/// those gates gets an explicit rejection/error response.
+/// scenario validation, sink preflight, run-store creation, and the
+/// `job accepted` journal append — so every accepted job is already
+/// journaled, and everything that fails any of those gates gets an
+/// explicit rejection/error response.
 fn submit(state: &Arc<State>, req: &BTreeMap<String, JsonVal>) -> String {
     if state.draining() {
         return rejected_response(state, "draining; not admitting new jobs");
@@ -1022,7 +965,9 @@ fn submit(state: &Arc<State>, req: &BTreeMap<String, JsonVal>) -> String {
             queued_at: Some(std::time::Instant::now()),
             ..Job::default()
         };
-        state.persist(&id, &job);
+        if let Err(e) = store.append_job(&job.record()) {
+            return error_response(&format!("submit: {}", e.message()));
+        }
         lock(&state.jobs).insert(id.clone(), job);
         let mut q = lock(&state.queue);
         q.push_back(id.clone());
@@ -1305,6 +1250,7 @@ pub fn encode_cmd(cmd: &str, job: Option<&str>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inet_exec::durable;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("inet_service_{tag}"));
@@ -1343,20 +1289,45 @@ mod tests {
     const TINY: &str = "[generator]\nmodel = \"ba\"\nn = 60\nseed = 7\n\
                         [measure]\nmetrics = [\"degree\"]\n";
 
-    /// Waits for a job via the status long-poll: the daemon parks each
-    /// request on its control condvar (up to 1 s per round), so this
-    /// helper makes a handful of requests instead of sleep-polling.
-    fn poll_done(addr: &str, id: &str) -> String {
+    /// Waits for a job to leave queued/running via the status long-poll:
+    /// the daemon parks each request on its control condvar (up to 1 s per
+    /// round), so this helper makes a handful of requests instead of
+    /// sleep-polling. Returns the final status response.
+    fn poll_terminal(addr: &str, id: &str) -> String {
         for _ in 0..12 {
             let line = format!(r#"{{"cmd":"status","job":"{id}","wait_ms":1000}}"#);
             let resp = request(addr, &line, 5_000).unwrap();
-            match response_field(&resp, "status").unwrap().as_str() {
-                "done" => return resp,
-                "queued" | "running" => {}
-                other => panic!("job {id} ended as {other}: {resp}"),
+            if !matches!(
+                response_field(&resp, "status").unwrap().as_str(),
+                "queued" | "running"
+            ) {
+                return resp;
             }
         }
         panic!("job {id} never finished");
+    }
+
+    fn poll_done(addr: &str, id: &str) {
+        let resp = poll_terminal(addr, id);
+        assert_eq!(
+            response_field(&resp, "status").as_deref(),
+            Some("done"),
+            "job {id}: {resp}"
+        );
+    }
+
+    fn submit_tiny(state: &Arc<State>) -> String {
+        submit(
+            state,
+            &parse_flat(&encode_submit(TINY, "t.toml", &[], None)).unwrap(),
+        )
+    }
+
+    /// The summary the served `tiny` job must produce: a direct run's.
+    fn tiny_summary() -> String {
+        crate::run::run_scenario(&Scenario::parse(TINY).unwrap())
+            .unwrap()
+            .summary
     }
 
     #[test]
@@ -1374,9 +1345,9 @@ mod tests {
         poll_done(&addr, &id);
         let resp = request(&addr, &encode_cmd("result", Some(&id)), 2_000).unwrap();
         let summary = response_field(&resp, "summary").unwrap();
-        let direct = crate::run::run_scenario(&Scenario::parse(TINY).unwrap()).unwrap();
         assert_eq!(
-            summary, direct.summary,
+            summary,
+            tiny_summary(),
             "served summary must be bit-identical"
         );
         // `result` only reads the journal: a torn tail changes neither the
@@ -1491,10 +1462,7 @@ mod tests {
         // Flip draining before run() so the accept loop exits immediately;
         // the admission path must still answer an in-flight connection.
         service.state.draining.store(true, Ordering::SeqCst);
-        let resp = submit(
-            &service.state,
-            &parse_flat(&encode_submit(TINY, "t.toml", &[], None)).unwrap(),
-        );
+        let resp = submit_tiny(&service.state);
         assert_eq!(
             response_field(&resp, "status").as_deref(),
             Some("rejected"),
@@ -1518,10 +1486,7 @@ mod tests {
         // drains it) and push one more submission through admission.
         lock(&service.state.queue).push_back("a".to_string());
         lock(&service.state.queue).push_back("b".to_string());
-        let resp = submit(
-            &service.state,
-            &parse_flat(&encode_submit(TINY, "t.toml", &[], None)).unwrap(),
-        );
+        let resp = submit_tiny(&service.state);
         assert_eq!(
             response_field(&resp, "status").as_deref(),
             Some("rejected"),
@@ -1570,6 +1535,83 @@ mod tests {
     }
 
     #[test]
+    fn accepted_job_from_a_crashed_daemon_is_recovered_and_completed() {
+        let _lock = crate::test_lock();
+        let dir = temp_dir("recover");
+        let runs = dir.join("runs");
+        // A daemon that crashed right after admission: the run store and
+        // its `job accepted` record exist, but nothing ran.
+        let store = RunStore::create(&runs, "tiny", TINY, "tiny.toml", &[]).unwrap();
+        store.append_job(&Job::default().record()).unwrap();
+        let (addr, handle) = start(test_config(runs));
+        poll_done(&addr, store.id());
+        let resp = request(&addr, &encode_cmd("result", Some(store.id())), 2_000).unwrap();
+        assert_eq!(
+            response_field(&resp, "summary").unwrap(),
+            tiny_summary(),
+            "recovered job summary must match a clean run"
+        );
+        request(&addr, &encode_cmd("drain", None), 2_000).unwrap();
+        assert_eq!(handle.join().unwrap().unwrap(), ServeExit::Clean);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Admission is the run directory's fsync, the manifest's atomic write
+    /// (tmp write, rename, directory fsync) and the append that creates
+    /// the journal (write, directory fsync): 6 durable operations, 5 of
+    /// them fsyncs and 1 a rename. A phase change is one append.
+    #[test]
+    fn admission_costs_6_durable_operations_and_a_phase_change_1() {
+        let _lock = crate::test_lock();
+        let dir = temp_dir("op_counts");
+        let service = Service::bind(test_config(dir.join("runs"))).unwrap();
+        let base = durable::ops();
+        let resp = submit_tiny(&service.state);
+        assert_eq!(durable::ops() - base, 6, "{resp}");
+        let id = response_field(&resp, "job").unwrap();
+        let base = durable::ops();
+        service.state.set_phase(&id, Phase::Done, "");
+        assert_eq!(durable::ops() - base, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A crash mid-append leaves a torn fragment at the end of a queued
+    /// job's journal. Cancelling the recovered job must cut it before
+    /// appending, or the `cancelled` record is glued onto the fragment and
+    /// lost, and the next daemon runs a cancelled job.
+    #[test]
+    fn cancel_after_a_torn_tail_survives_a_restart() {
+        let _lock = crate::test_lock();
+        let dir = temp_dir("torn_cancel");
+        let runs = dir.join("runs");
+        let store = RunStore::create(&runs, "tiny", TINY, "tiny.toml", &[]).unwrap();
+        store.append_job(&Job::default().record()).unwrap();
+        let journal = store.path(crate::runstore::JOURNAL_FILE);
+        let mut bytes = std::fs::read(&journal).unwrap();
+        bytes.extend_from_slice(b"job\tdone\t1\t-");
+        std::fs::write(&journal, bytes).unwrap();
+        // Recovery without workers, so the job stays queued.
+        let recovered = || {
+            let service = Service::bind(test_config(runs.clone())).unwrap();
+            assert_eq!(recover(&service.state), 1);
+            service
+        };
+        let first = recovered();
+        let req = |cmd| parse_flat(&encode_cmd(cmd, Some(store.id()))).unwrap();
+        let resp = cancel(&first.state, &req("cancel"));
+        assert!(resp.contains("unqueued"), "{resp}");
+        let second = Service::bind(test_config(runs.clone())).unwrap();
+        assert_eq!(recover(&second.state), 0);
+        let resp = status(&second.state, &req("status"));
+        assert_eq!(
+            response_field(&resp, "status").as_deref(),
+            Some("cancelled"),
+            "{resp}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn encode_round_trips_through_the_flat_reader() {
         let line = encode_submit("a = \"x\"\n", "p.toml", &["n=9".to_string()], Some(125));
         let obj = parse_flat(&line).unwrap();
@@ -1583,5 +1625,115 @@ mod tests {
         let line = encode_cmd("status", Some("id-1"));
         let obj = parse_flat(&line).unwrap();
         assert_eq!(obj.get("job").unwrap().as_str(), Some("id-1"));
+    }
+
+    #[cfg(feature = "fault-inject")]
+    mod faults {
+        use super::*;
+        use inet_fault::{install, FaultAction, FaultPlan};
+
+        /// Fails the `k`-th durable operation from now while `f` runs.
+        fn failing_op<T>(k: u64, f: impl FnOnce() -> T) -> T {
+            let _guard = install(FaultPlan::single(
+                "durable.op",
+                Some(durable::ops() + k),
+                FaultAction::Error,
+            ));
+            f()
+        }
+
+        /// Operations 4 and 5 of admission are the `job accepted` append's
+        /// write and its directory fsync. A submission whose append fails
+        /// is refused: not queued, not counted, unknown after a restart.
+        #[test]
+        fn a_failed_admission_append_refuses_the_job() {
+            let _lock = crate::test_lock();
+            let dir = temp_dir("lost_job");
+            let service = Service::bind(test_config(dir.join("runs"))).unwrap();
+            for k in [4, 5] {
+                let resp = failing_op(k, || submit_tiny(&service.state));
+                assert_eq!(
+                    response_field(&resp, "status").as_deref(),
+                    Some("error"),
+                    "op {k}: {resp}"
+                );
+                assert!(resp.contains("journal"), "op {k}: {resp}");
+            }
+            assert_eq!(service.state.accepted.value(), 0);
+            assert!(lock(&service.state.queue).is_empty());
+            assert!(lock(&service.state.jobs).is_empty());
+            let restarted = Service::bind(test_config(dir.join("runs"))).unwrap();
+            assert_eq!(recover(&restarted.state), 0);
+            assert!(lock(&restarted.state.jobs).is_empty());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        /// Crash points of one served `tiny` job, error-return form: each
+        /// durable operation of its admission, its run and its `done`
+        /// record fails in turn. After a drain and a restart on the same
+        /// runs directory, the submission was either refused, or the new
+        /// daemon knows the job and it ends `done` with the fault-free
+        /// summary, or `failed`. It is never unknown.
+        #[test]
+        fn every_durable_operation_of_a_served_job_is_refused_or_recovered() {
+            let _lock = crate::test_lock();
+            let dir = temp_dir("served_crash_points");
+            let summary = tiny_summary();
+            let submit_line = encode_submit(TINY, "tiny.toml", &[], None);
+            let drain = |addr: &str, handle: std::thread::JoinHandle<Result<ServeExit, _>>| {
+                request(addr, &encode_cmd("drain", None), 2_000).unwrap();
+                assert_eq!(handle.join().unwrap().unwrap(), ServeExit::Clean);
+            };
+            let (addr, handle) = start(test_config(dir.join("ref")));
+            let base = durable::ops();
+            let resp = request(&addr, &submit_line, 5_000).unwrap();
+            poll_done(&addr, &response_field(&resp, "job").unwrap());
+            let n = durable::ops() - base;
+            drain(&addr, handle);
+            assert!(n > 7, "admission (6), the run and the done record: {n}");
+
+            for k in 0..n {
+                let runs = dir.join(format!("k{k}"));
+                let (addr, handle) = start(test_config(runs.clone()));
+                let base = durable::ops();
+                let id = failing_op(k, || {
+                    let resp = request(&addr, &submit_line, 5_000).unwrap();
+                    let id = response_field(&resp, "job");
+                    assert_eq!(id.is_some(), resp.contains("accepted"), "op {k}: {resp}");
+                    if let Some(id) = &id {
+                        poll_terminal(&addr, id);
+                    }
+                    id
+                });
+                assert!(durable::ops() > base + k, "operation {k} was never reached");
+                drain(&addr, handle);
+
+                let (addr, handle) = start(test_config(runs.clone()));
+                match id {
+                    None => assert!(
+                        scan_runs(&runs).runs.iter().all(|run| run.job.is_none()),
+                        "op {k}: a refused submission left a job"
+                    ),
+                    Some(id) => {
+                        let resp = poll_terminal(&addr, &id);
+                        match response_field(&resp, "status").as_deref() {
+                            Some("done") => {
+                                let line = encode_cmd("result", Some(&id));
+                                let result = request(&addr, &line, 2_000).unwrap();
+                                assert_eq!(
+                                    response_field(&result, "summary").as_deref(),
+                                    Some(summary.as_str()),
+                                    "op {k}"
+                                );
+                            }
+                            Some("failed") => {}
+                            _ => panic!("op {k}: accepted job {id} ended as {resp}"),
+                        }
+                    }
+                }
+                drain(&addr, handle);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

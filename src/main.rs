@@ -19,8 +19,8 @@
 //!
 //! `run` journals by default: each invocation gets a `runs/<run-id>/`
 //! directory (override with `--runs-dir`, disable with `--no-journal`)
-//! holding the scenario copy, a content-hashed manifest, an append-only
-//! stage journal, and checksummed per-stage artifacts. SIGINT cancels
+//! holding a content-hashed manifest with the scenario text, an
+//! append-only stage journal, and checksummed per-stage artifacts. SIGINT cancels
 //! cooperatively — in-flight sweep cells checkpoint, the journal stays
 //! consistent, the exact resume command is printed, and the process exits
 //! with code 6. A second SIGINT aborts immediately.
@@ -905,15 +905,14 @@ fn run(cmd: Command) -> Result<(), PipelineError> {
             let root = std::path::PathBuf::from(runs_dir.as_deref().unwrap_or(DEFAULT_RUNS_DIR));
             let (mut scenario, store) = if let Some(id) = &resume {
                 let store = RunStore::open(&root, id)?;
-                let text = store.scenario_text()?;
-                let scenario = Scenario::parse_with_overrides(&text, store.overrides()).map_err(
-                    |e| match e {
-                        PipelineError::Scenario(m) => {
-                            PipelineError::Scenario(format!("run '{id}': stored scenario: {m}"))
-                        }
-                        other => other,
-                    },
-                )?;
+                let scenario =
+                    Scenario::parse_with_overrides(store.scenario_text(), store.overrides())
+                        .map_err(|e| match e {
+                            PipelineError::Scenario(m) => {
+                                PipelineError::Scenario(format!("run '{id}': stored scenario: {m}"))
+                            }
+                            other => other,
+                        })?;
                 eprintln!("# resuming run {id}");
                 (scenario, Some(store))
             } else {
