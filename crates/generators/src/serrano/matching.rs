@@ -13,7 +13,11 @@
 //! bunch into storms at the end of a round, when a few active nodes far
 //! apart keep drawing each other until the attempt budget runs out. The
 //! loop takes a fast path through them that consumes the same random
-//! numbers and leaves the same state bit for bit (DESIGN §4j).
+//! numbers and leaves the same state bit for bit (DESIGN §4j). A draw is
+//! rejected on its drawer's cached bound without locating the peer. Once
+//! every active node has its bound and its weight round trip settled, a
+//! storm loop rejects on the largest of those bounds without locating the
+//! drawer either, drawing only the random numbers, until a draw passes.
 
 use inet_graph::{MultiGraph, NodeId};
 use inet_stats::rng::StdRng;
@@ -29,6 +33,9 @@ pub struct MatchStats {
     /// Rejected draws decided on the drawer's cached acceptance bound,
     /// without locating the peer.
     pub bounded: u64,
+    /// Of the `bounded` draws, those rejected on the round-wide bound in a
+    /// storm, without locating the drawer either.
+    pub stormed: u64,
     /// New edges created between previously unconnected pairs.
     pub new_edges: u64,
     /// Reinforcement units added to existing pairs (including the `r`-loop).
@@ -50,9 +57,12 @@ pub struct MatchStats {
 /// largest `prob(i, k)` over the round's active `k ≠ i` — is rejected
 /// without locating `j`. A bound costs one `prob` call per active node, so
 /// one is taken only after as many draws have passed since the last
-/// connection or the last bound. The graph, the deficits, the counters
-/// other than `bounded`, and the random stream are the same as when every
-/// pair is located and tested.
+/// connection or the last bound. Once every active node has its bound
+/// taken at the current active count and its round trip proven a no-op, a
+/// draw whose `u` is at least the largest of those bounds is rejected
+/// without locating `i` either. The graph, the deficits, the counters
+/// other than `bounded` and `stormed`, and the random stream are the same
+/// as when every pair is located and tested.
 pub fn match_deficits(
     g: &mut MultiGraph,
     deficits: &mut [f64],
@@ -87,27 +97,58 @@ fn match_round(
     // read off the targets already located.
     let mut epoch = 1u64;
     let mut clean = vec![0u64; deficits.len()];
+    // The epoch of the last `clean` mark, and the active nodes marked in it.
+    let mut cleaned = (epoch, 0usize);
     let mut located = Located::default();
     let mut bounds = Bounds::new(deficits.len());
     // Draws since the last connection or the last bound taken.
     let mut draws_since = 0usize;
+    // The epoch the storm bound was last sought in, and the bound.
+    let mut storm = (0u64, None);
 
     while active_count >= 2 && stats.attempts < max_attempts {
+        // Once every active node is clean and has its bound taken at the
+        // active count, a rejected draw changes nothing (`draws_since` only
+        // gates retakes, which stay no-ops until a connection resets it), so
+        // the draws before the first that passes the storm bound only take
+        // their random numbers.
+        let mut passed = None;
+        if prob.is_some() && cleaned == (epoch, active_count) && bounds.all_taken(active_count) {
+            if storm.0 != epoch {
+                storm = (epoch, bounds.storm_bound(&sampler));
+            }
+            if let Some(bound) = storm.1 {
+                passed = storm_draws(rng, &mut stats, max_attempts, sampler.total(), bound);
+                if passed.is_none() {
+                    break;
+                }
+            }
+        }
         stats.attempts += 1;
         draws_since += 1;
-        if sampler.total() <= 0.0 {
-            break;
-        }
-        let i = located.find(&sampler, epoch, rng.gen_range(0.0..sampler.total()));
-        let masked = sampler.masked_total(i);
-        if masked <= 0.0 {
-            break;
-        }
-        let target = rng.gen_range(0.0..masked);
+        let (i, target) = match passed {
+            // A normal masked total makes `gen_range(0.0..masked)` exactly
+            // `masked * unit` (DESIGN §4j, invariant 4).
+            Some((at, unit, _)) => {
+                let i = located.find(&sampler, epoch, at);
+                (i, sampler.masked_total(i) * unit)
+            }
+            None => {
+                if sampler.total() <= 0.0 {
+                    break;
+                }
+                let i = located.find(&sampler, epoch, rng.gen_range(0.0..sampler.total()));
+                let masked = sampler.masked_total(i);
+                if masked <= 0.0 {
+                    break;
+                }
+                (i, rng.gen_range(0.0..masked))
+            }
+        };
         let peer = match prob {
             None => Some(sampler.find_masked(i, target)),
             Some(prob) => {
-                let u = rng.gen_range(0.0..1.0);
+                let u = passed.map_or_else(|| rng.gen_range(0.0..1.0), |(_, _, u)| u);
                 if draws_since >= active_count && bounds.retake(i, deficits, active_count, prob) {
                     draws_since = 0;
                 }
@@ -127,6 +168,10 @@ fn match_round(
                 epoch += 1;
             } else {
                 clean[i] = epoch;
+                if cleaned.0 != epoch {
+                    cleaned = (epoch, 0);
+                }
+                cleaned.1 += 1;
             }
         }
         let Some(j) = peer else {
@@ -162,6 +207,38 @@ fn match_round(
     }
     stats.leftover = deficits.iter().filter(|&&d| d >= 1.0).sum();
     (stats, sampler)
+}
+
+/// Takes draws until one has `u < bound`, counting each one before it as
+/// rejected on the bound; returns that draw's numbers (i's target, the unit
+/// of j's target, and `u`), or `None` when the attempt budget runs out
+/// first. Each draw takes its numbers in the order and from the ranges of
+/// the full path, whose masked totals are normal, so the stream is the
+/// same.
+fn storm_draws(
+    rng: &mut StdRng,
+    stats: &mut MatchStats,
+    max_attempts: u64,
+    total: f64,
+    bound: f64,
+) -> Option<(f64, f64, f64)> {
+    let mut passed = None;
+    let mut stormed = 0;
+    while stats.attempts + stormed < max_attempts {
+        let at = rng.gen_range(0.0..total);
+        let unit = rng.gen_range(0.0..1.0);
+        let u = rng.gen_range(0.0..1.0);
+        if u < bound {
+            passed = Some((at, unit, u));
+            break;
+        }
+        stormed += 1;
+    }
+    stats.attempts += stormed;
+    stats.rejected += stormed;
+    stats.bounded += stormed;
+    stats.stormed += stormed;
+    passed
 }
 
 /// The first draw's index for the targets located in one epoch, as
@@ -206,6 +283,8 @@ struct Bounds {
     /// Each node's bound and the active count it was taken at; infinite
     /// and 0 before the first.
     of: Vec<(f64, usize)>,
+    /// The active count of the last bound taken, and the bounds taken at it.
+    taken: (usize, usize),
 }
 
 impl Bounds {
@@ -213,6 +292,7 @@ impl Bounds {
         Bounds {
             pool: Vec::new(),
             of: vec![(f64::INFINITY, 0); n],
+            taken: (0, 0),
         }
     }
 
@@ -244,7 +324,33 @@ impl Bounds {
             .map(|&k| prob(i, k))
             .fold(f64::NEG_INFINITY, f64::max);
         self.of[i] = (bound, active_count);
+        if self.taken.0 != active_count {
+            self.taken = (active_count, 0);
+        }
+        self.taken.1 += 1;
         true
+    }
+
+    /// Whether every active node has its bound taken at `active_count`.
+    /// The pool is then trimmed to the active set.
+    fn all_taken(&self, active_count: usize) -> bool {
+        self.taken == (active_count, active_count)
+    }
+
+    /// The largest bound over the active nodes, which rejects every draw
+    /// while [`all_taken`](Self::all_taken) holds; `None` when some active
+    /// node's masked total is below 1, so that `masked_total * unit` could
+    /// differ from a masked draw.
+    fn storm_bound(&self, sampler: &DynamicWeightedSampler) -> Option<f64> {
+        if !(sampler.total() > 0.0 && self.pool.iter().all(|&k| sampler.masked_total(k) >= 1.0)) {
+            return None;
+        }
+        Some(
+            self.pool
+                .iter()
+                .map(|&k| self.of[k].0)
+                .fold(f64::NEG_INFINITY, f64::max),
+        )
     }
 }
 
@@ -324,73 +430,96 @@ mod tests {
         (stats, sampler)
     }
 
+    /// Runs one random round through the fast path and the oracle, asserts
+    /// they agree bit for bit, and returns the fast path's counters. A
+    /// `storm` case uses the distance kernel at a small reach with the full
+    /// budget, so its rounds end in rejection storms.
+    fn fast_path_case(rng: &mut StdRng, storm: bool) -> MatchStats {
+        let n = rng.gen_range(2..48usize);
+        let deficits: Vec<f64> = (0..n)
+            .map(|_| match rng.gen_range(0..4usize) {
+                0 => rng.gen_range(0.0..1.0),
+                1 => rng.gen_range(0..8usize) as f64,
+                2 => rng.gen_range(1.0..12.0),
+                _ => 0.0,
+            })
+            .collect();
+        let r = [0.0, 0.5, 0.99][rng.gen_range(0..3usize)];
+        let budget = if storm {
+            20_000
+        } else {
+            [rng.gen_range(0..64u64), 20_000][rng.gen_range(0..2usize)]
+        };
+        let at: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let reach = rng.gen_range(1e-4..if storm { 0.01 } else { 0.3 });
+        let one = |_: usize, _: usize| 1.0;
+        let zero = |_: usize, _: usize| 0.0;
+        let parity = |i: usize, j: usize| if (i + j) % 2 == 0 { 1.0 } else { 0.0 };
+        // Far pairs get vanishing probabilities: rejection storms.
+        let distance = |i: usize, j: usize| (-(at[i] - at[j]).abs() / reach).exp();
+        let kinds: [Option<&dyn Fn(usize, usize) -> f64>; 5] = [
+            Some(&one),
+            Some(&zero),
+            Some(&parity),
+            Some(&distance),
+            None,
+        ];
+        let prob = kinds[if storm {
+            3
+        } else {
+            rng.gen_range(0..kinds.len())
+        }];
+        let seed = rng.next_u64();
+
+        let mut g = MultiGraph::new();
+        g.add_nodes(n);
+        let (mut fast_g, mut fast_d, mut fast_rng) =
+            (g.clone(), deficits.clone(), seeded_rng(seed));
+        let (fast, fast_sampler) =
+            match_round(&mut fast_g, &mut fast_d, r, budget, &mut fast_rng, prob);
+        let (mut slow_g, mut slow_d, mut slow_rng) = (g, deficits, seeded_rng(seed));
+        let (slow, slow_sampler) = match_deficits_oracle(
+            &mut slow_g,
+            &mut slow_d,
+            r,
+            budget,
+            &mut slow_rng,
+            |i, j, rng| prob.map_or(true, |p| rng.gen_range(0.0..1.0) < p(i, j)),
+        );
+
+        assert_eq!(fast_g, slow_g);
+        // Every rounding the oracle's weight round trips left behind.
+        assert_eq!(fast_sampler, slow_sampler);
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast_d), bits(&slow_d));
+        // The oracle does not count rejections.
+        let parent_fields = MatchStats {
+            rejected: 0,
+            bounded: 0,
+            stormed: 0,
+            ..fast
+        };
+        assert_eq!(parent_fields, slow);
+        assert_eq!(fast.leftover.to_bits(), slow.leftover.to_bits());
+        assert!(fast.stormed <= fast.bounded);
+        assert!(fast.bounded <= fast.rejected && fast.rejected <= fast.attempts);
+        assert_eq!(fast_rng.next_u64(), slow_rng.next_u64());
+        fast
+    }
+
     #[test]
     fn fast_path_matches_the_oracle_bit_for_bit() {
-        // Rejections decided on the bound, over all cases.
-        let mut bounded = 0;
-        inet_stats::rng::check(160, |rng| {
-            let n = rng.gen_range(2..48usize);
-            let deficits: Vec<f64> = (0..n)
-                .map(|_| match rng.gen_range(0..4usize) {
-                    0 => rng.gen_range(0.0..1.0),
-                    1 => rng.gen_range(0..8usize) as f64,
-                    2 => rng.gen_range(1.0..12.0),
-                    _ => 0.0,
-                })
-                .collect();
-            let r = [0.0, 0.5, 0.99][rng.gen_range(0..3usize)];
-            let budget = [rng.gen_range(0..64u64), 20_000][rng.gen_range(0..2usize)];
-            let at: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
-            let reach = rng.gen_range(1e-4..0.3);
-            let one = |_: usize, _: usize| 1.0;
-            let zero = |_: usize, _: usize| 0.0;
-            let parity = |i: usize, j: usize| if (i + j) % 2 == 0 { 1.0 } else { 0.0 };
-            // Far pairs get vanishing probabilities: rejection storms.
-            let distance = |i: usize, j: usize| (-(at[i] - at[j]).abs() / reach).exp();
-            let kinds: [Option<&dyn Fn(usize, usize) -> f64>; 5] = [
-                Some(&one),
-                Some(&zero),
-                Some(&parity),
-                Some(&distance),
-                None,
-            ];
-            let prob = kinds[rng.gen_range(0..kinds.len())];
-            let seed = rng.next_u64();
-
-            let mut g = MultiGraph::new();
-            g.add_nodes(n);
-            let (mut fast_g, mut fast_d, mut fast_rng) =
-                (g.clone(), deficits.clone(), seeded_rng(seed));
-            let (fast, fast_sampler) =
-                match_round(&mut fast_g, &mut fast_d, r, budget, &mut fast_rng, prob);
-            let (mut slow_g, mut slow_d, mut slow_rng) = (g, deficits, seeded_rng(seed));
-            let (slow, slow_sampler) = match_deficits_oracle(
-                &mut slow_g,
-                &mut slow_d,
-                r,
-                budget,
-                &mut slow_rng,
-                |i, j, rng| prob.map_or(true, |p| rng.gen_range(0.0..1.0) < p(i, j)),
-            );
-
-            assert_eq!(fast_g, slow_g);
-            // Every rounding the oracle's weight round trips left behind.
-            assert_eq!(fast_sampler, slow_sampler);
-            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&fast_d), bits(&slow_d));
-            // The oracle does not count rejections.
-            let parent_fields = MatchStats {
-                rejected: 0,
-                bounded: 0,
-                ..fast
-            };
-            assert_eq!(parent_fields, slow);
-            assert_eq!(fast.leftover.to_bits(), slow.leftover.to_bits());
-            assert!(fast.bounded <= fast.rejected && fast.rejected <= fast.attempts);
-            assert_eq!(fast_rng.next_u64(), slow_rng.next_u64());
-            bounded += fast.bounded;
-        });
+        // Rejections decided on a drawer's bound and on the storm bound,
+        // over all cases.
+        let (mut bounded, mut stormed) = (0, 0);
+        let mut tally = |stats: MatchStats| {
+            bounded += stats.bounded;
+            stormed += stats.stormed;
+        };
+        inet_stats::rng::check(160, |rng| tally(fast_path_case(rng, false)));
+        inet_stats::rng::check(60, |rng| tally(fast_path_case(rng, true)));
         assert!(bounded > 0, "no case took the bound");
+        assert!(stormed > 0, "no case took the storm bound");
     }
 
     #[test]

@@ -60,8 +60,8 @@ pub struct SerranoRun {
     /// Iterations executed.
     pub iterations: u32,
     /// Every matching round's counters, summed: pair draws, rejected draws
-    /// (and those rejected on the bound), new edges, reinforcements, and
-    /// each round's unmet deficit.
+    /// (and those rejected on a bound, and on the storm bound), new edges,
+    /// reinforcements, and each round's unmet deficit.
     pub matching: MatchStats,
 }
 
@@ -215,6 +215,7 @@ impl SerranoModel {
             matching.attempts += round.attempts;
             matching.rejected += round.rejected;
             matching.bounded += round.bounded;
+            matching.stormed += round.stormed;
             matching.new_edges += round.new_edges;
             matching.reinforcements += round.reinforcements;
             matching.leftover += round.leftover;
@@ -489,6 +490,7 @@ mod tests {
                 g.total_weight(),
                 "distance {distance}"
             );
+            assert!(m.stormed <= m.bounded, "distance {distance}");
             assert!(m.bounded <= m.rejected, "distance {distance}");
             assert!(m.rejected <= m.attempts, "distance {distance}");
             // A draw that is not rejected connects its pair with one unit or
@@ -499,36 +501,78 @@ mod tests {
                 connected <= m.new_edges + m.reinforcements,
                 "distance {distance}"
             );
-            if !distance {
+            if distance {
+                assert!(m.stormed > 0, "no storm at n = 600");
+            } else {
                 assert_eq!(m.rejected, 0);
             }
         }
     }
 
+    /// FNV-1a 64 of the edge list (u, v, multiplicity as little-endian
+    /// u64s) and the pair draws, rejected draws and draws rejected on a
+    /// bound.
+    type Pin = (u64, u64, u64, u64);
+
+    fn pin(run: &SerranoRun) -> Pin {
+        let mut h = inet_exec::durable::Fnv64::default();
+        for (u, v, w) in run.network.graph.edges() {
+            h.write_u64(u.index() as u64);
+            h.write_u64(v.index() as u64);
+            h.write_u64(w);
+        }
+        let m = run.matching;
+        (h.finish(), m.attempts, m.rejected, m.bounded)
+    }
+
     #[test]
     fn edge_lists_and_draw_counts_are_pinned() {
-        // Known answers: FNV-1a 64 of the edge list (u, v, multiplicity as
-        // little-endian u64s) and the pair draws of `small(2000)`. A change
-        // to the random stream or to any draw's outcome moves them; update
-        // them only on purpose.
-        let pinned: [(bool, u64, u64, u64); 6] = [
-            (true, 1, 0xee83_0b01_1959_792c, 559_167),
-            (true, 2, 0xee64_0f12_975d_d616, 1_402_884),
-            (true, 3, 0xab4e_4763_48d8_bae8, 1_194_005),
-            (false, 1, 0xa5b3_91e6_14b3_127e, 7_275),
-            (false, 2, 0x3a7e_ea58_0c02_e516, 7_321),
-            (false, 3, 0x5729_0cd9_bcbe_d11e, 7_327),
+        // Known answers for `small(2000)`. A change to the random stream or
+        // to any draw's outcome moves them; update them only on purpose.
+        let pinned: [(bool, u64, Pin); 6] = [
+            (true, 1, (0xee83_0b01_1959_792c, 559_167, 551_793, 539_660)),
+            (
+                true,
+                2,
+                (0xee64_0f12_975d_d616, 1_402_884, 1_395_537, 1_368_392),
+            ),
+            (
+                true,
+                3,
+                (0xab4e_4763_48d8_bae8, 1_194_005, 1_186_669, 1_162_692),
+            ),
+            (false, 1, (0xa5b3_91e6_14b3_127e, 7_275, 0, 0)),
+            (false, 2, (0x3a7e_ea58_0c02_e516, 7_321, 0, 0)),
+            (false, 3, (0x5729_0cd9_bcbe_d11e, 7_327, 0, 0)),
         ];
-        for (distance, seed, hash, attempts) in pinned {
+        for (distance, seed, want) in pinned {
             let run = small_run(2000, seed, distance);
-            let mut h = inet_exec::durable::Fnv64::default();
-            for (u, v, w) in run.network.graph.edges() {
-                h.write_u64(u.index() as u64);
-                h.write_u64(v.index() as u64);
-                h.write_u64(w);
-            }
-            let got = (h.finish(), run.matching.attempts);
-            assert_eq!(got, (hash, attempts), "distance {distance} seed {seed}");
+            assert_eq!(pin(&run), want, "distance {distance} seed {seed}");
+        }
+    }
+
+    #[test]
+    #[ignore = "paper scale; run in release with --ignored"]
+    fn paper_scale_edge_lists_and_draw_counts_are_pinned() {
+        // Known answers for `paper_2001` (n = 11 000), where the storms
+        // still hold many active nodes. Same encoding as above.
+        let pinned: [(u64, Pin); 3] = [
+            (
+                1,
+                (0xdd9e_2e39_9a3a_ad69, 15_746_677, 15_690_070, 13_924_826),
+            ),
+            (
+                2,
+                (0x202d_2651_8d25_4abb, 16_738_484, 16_682_573, 12_942_709),
+            ),
+            (
+                3,
+                (0x09b0_af4d_d58e_e521, 16_500_108, 16_443_689, 12_656_005),
+            ),
+        ];
+        for (seed, want) in pinned {
+            let run = SerranoModel::paper_2001().run(&mut seeded_rng(seed));
+            assert_eq!(pin(&run), want, "seed {seed}");
         }
     }
 

@@ -63,6 +63,7 @@ use std::fmt;
 /// | 2 | scenario/usage (malformed file, unknown model or key) | [`PipelineError::Scenario`] |
 /// | 3 | invalid model parameters | [`PipelineError::Model`] |
 /// | 4 | data / IO (unreadable or malformed files) | [`PipelineError::Data`] |
+/// | 4 | a durable write to the run store failed | [`PipelineError::Store`] |
 /// | 5 | checkpoint belongs to a different run | [`PipelineError::CheckpointIncompatible`] |
 /// | 6 | interrupted, resumable (`inet run --resume <run-id>`) | [`PipelineError::Interrupted`] |
 /// | 1 | stage aborted (injected fault, caught panic), anything else | [`PipelineError::Stage`] |
@@ -75,6 +76,10 @@ pub enum PipelineError {
     Model(String),
     /// Unreadable or malformed input/output data.
     Data(String),
+    /// A durable write to the run store failed: a journal append, an
+    /// artifact write or rename, or a directory fsync. Everything committed
+    /// before it is journaled, so a retry resumes the run.
+    Store(String),
     /// The attack checkpoint belongs to a different graph or sweep; the
     /// message names the differing field.
     CheckpointIncompatible(String),
@@ -94,7 +99,7 @@ impl PipelineError {
             PipelineError::Stage(_) => 1,
             PipelineError::Scenario(_) => 2,
             PipelineError::Model(_) => 3,
-            PipelineError::Data(_) => 4,
+            PipelineError::Data(_) | PipelineError::Store(_) => 4,
             PipelineError::CheckpointIncompatible(_) => 5,
             PipelineError::Interrupted(_) => 6,
         }
@@ -106,6 +111,7 @@ impl PipelineError {
             PipelineError::Scenario(m)
             | PipelineError::Model(m)
             | PipelineError::Data(m)
+            | PipelineError::Store(m)
             | PipelineError::CheckpointIncompatible(m)
             | PipelineError::Stage(m)
             | PipelineError::Interrupted(m) => m,
@@ -149,5 +155,7 @@ mod tests {
             assert_eq!(e.exit_code(), want, "{e}");
             assert!(seen.insert(e.exit_code()), "duplicate exit code {want}");
         }
+        // A failed run-store write is an IO error to the CLI.
+        assert_eq!(PipelineError::Store("x".into()).exit_code(), 4);
     }
 }

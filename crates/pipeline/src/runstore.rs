@@ -110,6 +110,10 @@ fn data(msg: impl Into<String>) -> PipelineError {
     PipelineError::Data(msg.into())
 }
 
+fn store_err(msg: impl Into<String>) -> PipelineError {
+    PipelineError::Store(msg.into())
+}
+
 /// The manifest content hash: scenario text, every override, and the
 /// crate version, NUL-separated so field boundaries cannot collide.
 fn content_hash(scenario_text: &str, overrides: &[String]) -> u64 {
@@ -172,7 +176,6 @@ impl RunStore {
                 Err(e) => return Err(data(format!("run store: {}: {e}", dir.display()))),
             }
         };
-        durable::sync_dir(&dir).map_err(|e| data(format!("run store: {}: {e}", dir.display())))?;
         let manifest = Manifest {
             version: VERSION.to_string(),
             name: name.to_string(),
@@ -182,12 +185,31 @@ impl RunStore {
             scenario: scenario_text.to_string(),
         };
         let store = RunStore { dir, id, manifest };
-        durable::write_atomic(
-            &store.dir.join(MANIFEST_FILE),
-            store.render_manifest().as_bytes(),
-        )
-        .map_err(|e| data(format!("run store: manifest: {e}")))?;
-        Ok(store)
+        let written = durable::sync_dir(&store.dir)
+            .map_err(|e| store_err(format!("run store: {}: {e}", store.dir.display())))
+            .and_then(|()| {
+                durable::write_atomic(
+                    &store.dir.join(MANIFEST_FILE),
+                    store.render_manifest().as_bytes(),
+                )
+                .map_err(|e| store_err(format!("run store: manifest: {e}")))
+            });
+        match written {
+            Ok(()) => Ok(store),
+            Err(e) => {
+                store.discard();
+                Err(e)
+            }
+        }
+    }
+
+    /// Removes a run directory this process just created and never
+    /// admitted, so a refused submission leaves nothing for `runs list`
+    /// and does not push the next run's id to a suffix. Best effort: a
+    /// directory that outlives a crash here is a run at `source`, as
+    /// before.
+    pub(crate) fn discard(self) {
+        let _ = fs::remove_dir_all(&self.dir);
     }
 
     /// Opens an existing run for resumption, verifying the manifest's
@@ -280,7 +302,7 @@ impl RunStore {
     /// `journal.write` failpoint (scope = stage index).
     fn append(&self, stage: usize, body: String) -> Result<(), PipelineError> {
         inet_fault::check("journal.write", stage as u64)
-            .map_err(|e| data(format!("run '{}': journal: {e}", self.id)))?;
+            .map_err(|e| store_err(format!("run '{}': journal: {e}", self.id)))?;
         self.append_record(&body)
     }
 
@@ -292,7 +314,7 @@ impl RunStore {
             seal(&format!("{JOURNAL_MAGIC}\t{JOURNAL_VERSION}")).as_bytes(),
             seal(body).as_bytes(),
         )
-        .map_err(|e| data(format!("run '{}': journal: {e}", self.id)))
+        .map_err(|e| store_err(format!("run '{}': journal: {e}", self.id)))
     }
 
     /// Appends a service job's lifecycle record. A torn tail is cut first,
@@ -345,9 +367,9 @@ impl RunStore {
         detail: &str,
     ) -> Result<(), PipelineError> {
         inet_fault::check("artifact.rename", stage as u64)
-            .map_err(|e| data(format!("run '{}': artifact '{artifact}': {e}", self.id)))?;
+            .map_err(|e| store_err(format!("run '{}': artifact '{artifact}': {e}", self.id)))?;
         durable::write_atomic(&self.dir.join(artifact), bytes)
-            .map_err(|e| data(format!("run '{}': artifact '{artifact}': {e}", self.id)))?;
+            .map_err(|e| store_err(format!("run '{}': artifact '{artifact}': {e}", self.id)))?;
         self.append_commit(stage, artifact, fnv64(bytes), detail)
     }
 
@@ -390,7 +412,7 @@ impl RunStore {
         let (committed, _, scan) = read_journal(&bytes);
         scan.map_err(journal_err)?
             .cut_tail(&path)
-            .map_err(|e| journal_err(e.to_string()))?;
+            .map_err(|e| store_err(format!("run '{}': {JOURNAL_FILE}: {e}", self.id)))?;
         Ok(committed)
     }
 

@@ -94,9 +94,10 @@ use crate::scenario::Scenario;
 use crate::PipelineError;
 
 /// Default total attempts for a job hit by an infrastructure fault (a
-/// worker panic or an injected `service.worker` fault) before it is marked
-/// failed — the `attempts` of [`ServiceConfig::retry`]'s default. Pipeline
-/// errors from the scenario itself never retry.
+/// worker panic, an injected `service.worker` fault or a failed run-store
+/// write) before it is marked failed — the `attempts` of
+/// [`ServiceConfig::retry`]'s default. Pipeline errors from the scenario
+/// itself never retry.
 pub const MAX_ATTEMPTS: u64 = 3;
 
 /// Everything the daemon needs to know; every field has a conservative
@@ -131,8 +132,9 @@ pub struct ServiceConfig {
     /// `threads`; `None` leaves the pipeline default (all cores).
     pub job_threads: Option<usize>,
     /// Retry schedule for jobs hit by infrastructure faults (worker panics,
-    /// injected `service.worker` faults): `attempts` bounds the total tries
-    /// per job, and the capped-backoff delay is slept before each requeue.
+    /// injected `service.worker` faults, failed run-store writes):
+    /// `attempts` bounds the total tries per job, and the capped-backoff
+    /// delay is slept before each requeue.
     /// Deterministic scenario errors never retry regardless.
     pub retry: RetryPolicy,
     /// Suppress the daemon's stderr log lines (tests).
@@ -617,10 +619,11 @@ fn worker_loop(state: &Arc<State>) {
 }
 
 /// Executes one job with the worker failpoint and a panic fence around
-/// the whole attempt. Infrastructure faults (failpoint, panic) retry up
-/// to [`ServiceConfig::retry`]'s attempt budget with its deterministic
-/// capped backoff; scenario errors fail the job with its message;
-/// interruptions are classified by their cause (deadline, cancel, drain).
+/// the whole attempt. Infrastructure faults (failpoint, panic, a failed
+/// run-store write) retry up to [`ServiceConfig::retry`]'s attempt budget
+/// with its deterministic capped backoff; scenario errors, unreadable
+/// input included, fail the job with its message; interruptions are
+/// classified by their cause (deadline, cancel, drain).
 fn run_job(state: &Arc<State>, id: &str) {
     let (attempt, queued_at) = {
         let mut jobs = lock(&state.jobs);
@@ -686,6 +689,9 @@ fn run_job(state: &Arc<State>, id: &str) {
             return;
         }
         Ok(Err(PipelineError::Stage(msg))) if msg.starts_with("worker:") => Some(msg),
+        // The journal holds everything committed before the failed write,
+        // so another attempt resumes the run rather than repeating it.
+        Ok(Err(PipelineError::Store(msg))) => Some(msg),
         Ok(Err(e)) => {
             // A real pipeline failure: deterministic, so retrying cannot
             // help — record it and inform the next status/result poll.
@@ -966,6 +972,7 @@ fn submit(state: &Arc<State>, req: &BTreeMap<String, JsonVal>) -> String {
             ..Job::default()
         };
         if let Err(e) = store.append_job(&job.record()) {
+            store.discard();
             return error_response(&format!("submit: {}", e.message()));
         }
         lock(&state.jobs).insert(id.clone(), job);
@@ -1330,6 +1337,33 @@ mod tests {
             .summary
     }
 
+    /// An input that cannot be read is the scenario's own fault, not the
+    /// store's: the job fails on its first attempt, with no retry.
+    #[test]
+    fn an_unreadable_input_fails_without_a_retry() {
+        let _lock = crate::test_lock();
+        let dir = temp_dir("unreadable_input");
+        let (addr, handle) = start(test_config(dir.join("runs")));
+        let missing = dir.join("missing.edges");
+        let text = format!("[input]\npath = {:?}\n", missing.display().to_string());
+        let resp = request(&addr, &encode_submit(&text, "in.toml", &[], None), 2_000).unwrap();
+        let id = response_field(&resp, "job").unwrap();
+        let resp = poll_terminal(&addr, &id);
+        assert_eq!(
+            response_field(&resp, "status").as_deref(),
+            Some("failed"),
+            "{resp}"
+        );
+        assert_eq!(
+            response_field(&resp, "attempts").as_deref(),
+            Some("1"),
+            "{resp}"
+        );
+        request(&addr, &encode_cmd("drain", None), 2_000).unwrap();
+        handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn submit_status_result_round_trip_matches_a_direct_run() {
         let _lock = crate::test_lock();
@@ -1668,12 +1702,42 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
         }
 
+        /// Operation 3 of admission is the manifest's directory fsync;
+        /// 4 and 5 are the `job accepted` append's write and its directory
+        /// fsync. A submission refused at any of them removes the run
+        /// directory it created: `runs list` shows nothing, and the next
+        /// submission of the same scenario gets the unsuffixed id.
+        #[test]
+        fn a_refused_submission_leaves_no_run_directory() {
+            let _lock = crate::test_lock();
+            let dir = temp_dir("refused_dirs");
+            let reference = Service::bind(test_config(dir.join("ref"))).unwrap();
+            let base_id = response_field(&submit_tiny(&reference.state), "job").unwrap();
+            let runs = dir.join("runs");
+            let service = Service::bind(test_config(runs.clone())).unwrap();
+            for k in [3, 4, 5] {
+                let resp = failing_op(k, || submit_tiny(&service.state));
+                assert_eq!(
+                    response_field(&resp, "status").as_deref(),
+                    Some("error"),
+                    "op {k}: {resp}"
+                );
+            }
+            let scan = scan_runs(&runs);
+            assert!(scan.runs.is_empty(), "{:?}", scan.runs);
+            assert!(scan.skipped.is_empty(), "{:?}", scan.skipped);
+            let resp = submit_tiny(&service.state);
+            assert_eq!(response_field(&resp, "job"), Some(base_id), "{resp}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
         /// Crash points of one served `tiny` job, error-return form: each
         /// durable operation of its admission, its run and its `done`
         /// record fails in turn. After a drain and a restart on the same
-        /// runs directory, the submission was either refused, or the new
-        /// daemon knows the job and it ends `done` with the fault-free
-        /// summary, or `failed`. It is never unknown.
+        /// runs directory, either the submission was refused and left no
+        /// run directory, or the new daemon knows the job and it ended
+        /// `done` with the fault-free summary: a failed write inside the
+        /// run is retried, and the retry resumes from the journal.
         #[test]
         fn every_durable_operation_of_a_served_job_is_refused_or_recovered() {
             let _lock = crate::test_lock();
@@ -1711,24 +1775,23 @@ mod tests {
                 let (addr, handle) = start(test_config(runs.clone()));
                 match id {
                     None => assert!(
-                        scan_runs(&runs).runs.iter().all(|run| run.job.is_none()),
-                        "op {k}: a refused submission left a job"
+                        scan_runs(&runs).runs.is_empty(),
+                        "op {k}: a refused submission left a run directory"
                     ),
                     Some(id) => {
                         let resp = poll_terminal(&addr, &id);
-                        match response_field(&resp, "status").as_deref() {
-                            Some("done") => {
-                                let line = encode_cmd("result", Some(&id));
-                                let result = request(&addr, &line, 2_000).unwrap();
-                                assert_eq!(
-                                    response_field(&result, "summary").as_deref(),
-                                    Some(summary.as_str()),
-                                    "op {k}"
-                                );
-                            }
-                            Some("failed") => {}
-                            _ => panic!("op {k}: accepted job {id} ended as {resp}"),
-                        }
+                        assert_eq!(
+                            response_field(&resp, "status").as_deref(),
+                            Some("done"),
+                            "op {k}: accepted job {id} ended as {resp}"
+                        );
+                        let line = encode_cmd("result", Some(&id));
+                        let result = request(&addr, &line, 2_000).unwrap();
+                        assert_eq!(
+                            response_field(&result, "summary").as_deref(),
+                            Some(summary.as_str()),
+                            "op {k}"
+                        );
                     }
                 }
                 drain(&addr, handle);
