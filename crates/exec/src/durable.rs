@@ -16,6 +16,7 @@
 //! intact records; the writer cuts a torn tail with [`Scan::cut_tail`]
 //! before its next append.
 
+use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -161,18 +162,39 @@ pub fn unescape(field: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Seals a record body (tab-separated fields): appends a tab, the FNV-1a 64
-/// of the body as 16 lowercase hex digits, and the newline.
-pub fn seal(body: &str) -> String {
-    format!("{body}\t{:016x}\n", fnv64(body.as_bytes()))
+/// Seals a record body (tab-separated fields) in place: appends a tab, the
+/// FNV-1a 64 of the body as 16 lowercase hex digits, and the newline.
+pub fn seal(mut body: String) -> String {
+    let sum = fnv64(body.as_bytes());
+    let _ = writeln!(body, "\t{sum:016x}");
+    body
 }
 
 /// The body of a sealed record line (newline already stripped), or `None`
-/// when its checksum does not match.
+/// when its checksum is not a tab and the body's FNV-1a 64 in 16 lowercase
+/// hex digits.
 fn unseal(line: &[u8]) -> Option<&str> {
     let (body, sum) = line.split_at(line.len().checked_sub(17)?);
-    let sealed = format!("\t{:016x}", fnv64(body));
-    (sum == sealed.as_bytes()).then(|| std::str::from_utf8(body).ok())?
+    let (&b'\t', digits) = sum.split_first()? else {
+        return None;
+    };
+    (parse_hex(digits)? == fnv64(body)).then(|| std::str::from_utf8(body).ok())?
+}
+
+/// Reads 1 to 16 lowercase hex digits, as `{:x}` and `{:016x}` print a
+/// `u64`; `None` for anything else.
+pub fn parse_hex(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() || digits.len() > 16 {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &d| {
+        let nibble = match d {
+            b'0'..=b'9' => d - b'0',
+            b'a'..=b'f' => d - b'a' + 10,
+            _ => return None,
+        };
+        Some(n << 4 | u64::from(nibble))
+    })
 }
 
 /// The intact record prefix of a log, as [`scan`] found it.
@@ -316,18 +338,38 @@ mod tests {
     }
 
     #[test]
+    fn parse_hex_reads_what_lower_hex_prints() {
+        for n in [0, 1, 0xf, 0x10, 0xdead_beef, u64::MAX] {
+            assert_eq!(parse_hex(format!("{n:x}").as_bytes()), Some(n));
+            assert_eq!(parse_hex(format!("{n:016x}").as_bytes()), Some(n));
+        }
+        let too_long = "1".repeat(17);
+        for bad in ["", "DEAD", "+1", "-1", " 1", "0x1", "g", &too_long] {
+            assert_eq!(parse_hex(bad.as_bytes()), None, "{bad:?}");
+        }
+    }
+
+    #[test]
     fn seal_appends_the_body_checksum_and_a_newline() {
-        assert_eq!(seal("a"), "a\taf63dc4c8601ec8c\n");
-        let line = seal("H\t1");
+        assert_eq!(seal("a".to_string()), "a\taf63dc4c8601ec8c\n");
+        let line = seal("H\t1".to_string());
         assert_eq!(unseal(line.trim_end().as_bytes()), Some("H\t1"));
         let flipped = line.replacen('1', "2", 1);
         assert_eq!(unseal(flipped.trim_end().as_bytes()), None);
         assert_eq!(unseal(b"short"), None);
+        // Only a tab and 16 lowercase hex digits seal a body.
+        let upper = format!("H\t1\t{}", &line[4..20].to_uppercase());
+        assert_ne!(upper, line.trim_end(), "the checksum has hex letters");
+        assert_eq!(unseal(upper.as_bytes()), None);
+        let spaced = line.trim_end().replacen("1\t", "1 ", 1);
+        assert_eq!(unseal(spaced.as_bytes()), None);
     }
 
     /// A three-record log: header `H 1`, then `r 1` and `r 2`.
     fn three_records() -> String {
-        ["H\t1", "r\t1", "r\t2"].map(seal).concat()
+        ["H\t1", "r\t1", "r\t2"]
+            .map(|body| seal(body.to_string()))
+            .concat()
     }
 
     /// Scans `bytes` as an `H` log, collecting every data record body;
@@ -384,7 +426,7 @@ mod tests {
         let foreign = [
             "{\"version\": 1}\n".to_string(),
             "X".to_string(),
-            seal("X\t1"),
+            seal("X\t1".to_string()),
             log.replacen("H\t1", "H\t2", 1),
         ];
         for text in &foreign {

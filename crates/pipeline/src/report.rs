@@ -10,7 +10,7 @@ use std::path::Path;
 
 use inet_exec::Executor;
 use inet_metrics::RobustReport;
-use inet_resilience::{write_points, AttackCurve, PointFormat, SweepResult};
+use inet_resilience::{write_points, AttackCurve, SweepResult};
 
 use crate::run::RunOutcome;
 use crate::scenario::Scenario;
@@ -59,7 +59,7 @@ pub fn curve_csv(curve: &AttackCurve) -> String {
 /// Appends `curve` to `out` as [`curve_csv`] renders it.
 fn push_curve_csv(out: &mut String, curve: &AttackCurve) {
     out.push_str("removed,giant,edges,mean_component\n");
-    write_points(out, &curve.points, PointFormat::Csv);
+    write_points(out, &curve.points);
 }
 
 /// Writes one `{strategy}-r{replica}.csv` per cell into `dir`, rendering

@@ -20,7 +20,7 @@ use std::io::Read;
 use inet_exec::{run_fenced, CancelToken, Task, TaskError};
 use inet_graph::MultiGraph;
 use inet_metrics::{measure_robust_cancellable, ReportOptions, RobustOptions, RobustReport};
-use inet_resilience::{run_sweep, SweepConfig, SweepResult};
+use inet_resilience::{run_sweep, CheckpointError, SweepConfig, SweepError, SweepResult};
 use inet_stats::rng::seeded_rng;
 
 use crate::report;
@@ -281,7 +281,7 @@ fn run_scenario_inner(
     if let Some(a) = &scenario.attack {
         let checkpoint = match (&a.checkpoint, store) {
             (Some(path), _) => Some(path.clone()),
-            (None, Some(st)) => Some(st.path("attack.ckpt.json")),
+            (None, Some(st)) => Some(st.path("attack.ckpt")),
             (None, None) => None,
         };
         let s = stage(2, || {
@@ -305,13 +305,7 @@ fn run_scenario_inner(
                 cancel: cancel.clone(),
                 ..SweepConfig::default()
             };
-            let result = run_sweep(&csr, &cfg).map_err(|e| {
-                if e.is_incompatible() {
-                    PipelineError::CheckpointIncompatible(format!("attack: {e}"))
-                } else {
-                    PipelineError::Data(format!("attack: {e}"))
-                }
-            })?;
+            let result = run_sweep(&csr, &cfg).map_err(attack_error)?;
             if !result.interrupted {
                 if let (Some(st), Some(ckpt)) = (store, checkpoint.as_deref()) {
                     st.commit_external(2, ckpt, "")?;
@@ -373,6 +367,20 @@ fn run_scenario_inner(
         Ok(())
     })?;
     Ok(outcome)
+}
+
+/// Classifies a sweep failure. A checkpoint that cannot be read or cut
+/// even after the sweep's own retries is a store failure, which a served
+/// job retries; one that cannot be parsed is bad data, and one from
+/// another run is its own exit code. (A failed append never gets here: the
+/// sweep turns it into a warning.)
+fn attack_error(e: SweepError) -> PipelineError {
+    let message = format!("attack: {e}");
+    match e {
+        SweepError::IncompatibleCheckpoint { .. } => PipelineError::CheckpointIncompatible(message),
+        SweepError::Checkpoint(CheckpointError::Io { .. }) => PipelineError::Store(message),
+        SweepError::Checkpoint(_) => PipelineError::Data(message),
+    }
 }
 
 /// Stage 0: grow or load the topology, with the invariant check the legacy
@@ -625,7 +633,7 @@ mod tests {
         for rec in committed.iter().flatten() {
             store.load_artifact(rec).unwrap();
         }
-        assert!(store.path("attack.ckpt.json").exists());
+        assert!(store.path("attack.ckpt").exists());
 
         // Resume replays source + measure from artifacts, the attack from
         // its checkpoint — cells and curve CSVs bit-identical.
@@ -650,6 +658,138 @@ mod tests {
             std::fs::read_to_string(curves.join("random-r0.csv")).unwrap(),
             csv_before
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The bytes of every file in `dir`, by name.
+    fn read_dir_bytes(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pre_v3_run_directory_recomputes_the_sweep_bit_identically() {
+        use inet_exec::durable::{fnv64, seal};
+        let _lock = crate::test_lock();
+        let dir = temp_dir("pre_v3");
+        let runs = dir.join("runs");
+        let curves = dir.join("curves");
+        let text = format!(
+            "[generator]\nmodel = \"ba\"\nn = 120\nseed = 5\n\
+             [attack]\nstrategies = [\"random\", \"degree\"]\nreplicas = 2\nrecord = 1\n\
+             [report]\ncurves = \"{}\"",
+            curves.display()
+        );
+        let scenario = Scenario::parse(&text).unwrap();
+        let store = RunStore::create(&runs, &scenario.name, &text, "s.toml", &[]).unwrap();
+        let id = store.id().to_string();
+        let opts = |store| ExecOptions {
+            store: Some(store),
+            ..Default::default()
+        };
+        let clean = run_scenario_with(&scenario, &opts(store)).unwrap();
+        let clean_curves = read_dir_bytes(&curves);
+        assert_eq!(clean_curves.len(), 3, "{:?}", clean_curves.keys());
+
+        // Turn the run directory into one an older build left: the
+        // checkpoint is a version-2 log named `attack.ckpt.json`, and the
+        // journal's attack commit names that file.
+        let store = RunStore::open(&runs, &id).unwrap();
+        let v3 = std::fs::read_to_string(store.path("attack.ckpt")).unwrap();
+        let header = v3.lines().next().unwrap();
+        let header = &header[..header.len() - 17];
+        let v2 = seal(header.replacen("\t3\t", "\t2\t", 1))
+            + &seal("cell\trandom\t0\t0\t120\t237\t0.5\t0 120 237 0.0".to_string());
+        std::fs::remove_file(store.path("attack.ckpt")).unwrap();
+        std::fs::write(store.path("attack.ckpt.json"), &v2).unwrap();
+        let journal = std::fs::read_to_string(store.path("journal.log")).unwrap();
+        let journal: String = journal
+            .lines()
+            .map(|line| {
+                let mut fields: Vec<String> = line[..line.len() - 17]
+                    .split('\t')
+                    .map(str::to_string)
+                    .collect();
+                if fields[0] == "commit" && fields[3] == "attack.ckpt" {
+                    fields[3] = "attack.ckpt.json".to_string();
+                    fields[4] = format!("{:016x}", fnv64(v2.as_bytes()));
+                }
+                seal(fields.join("\t"))
+            })
+            .collect();
+        assert!(journal.contains("\tattack.ckpt.json\t"), "{journal}");
+        std::fs::write(store.path("journal.log"), journal).unwrap();
+        std::fs::remove_dir_all(&curves).unwrap();
+
+        // Resuming recomputes every cell (the old file is not read, and not
+        // touched) and writes the same curves byte for byte.
+        let resumed =
+            run_scenario_with(&scenario, &opts(RunStore::open(&runs, &id).unwrap())).unwrap();
+        let sweep = resumed.sweep.as_ref().unwrap();
+        assert_eq!(sweep.resumed, 0, "no cell comes from the old checkpoint");
+        assert_eq!(sweep.cells, clean.sweep.as_ref().unwrap().cells);
+        assert_eq!(read_dir_bytes(&curves), clean_curves);
+        assert_eq!(resumed.summary, clean.summary);
+        let store = RunStore::open(&runs, &id).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(store.path("attack.ckpt.json")).unwrap(),
+            v2
+        );
+        // The new checkpoint holds the same records, in completion order.
+        let sorted = |text: String| {
+            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+            lines.sort();
+            lines
+        };
+        let recomputed = std::fs::read_to_string(store.path("attack.ckpt")).unwrap();
+        assert_eq!(sorted(recomputed), sorted(v3));
+        assert_eq!(
+            store.committed()[2].as_ref().unwrap().artifact,
+            "attack.ckpt"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_errors_map_to_their_pipeline_classes() {
+        let _lock = crate::test_lock();
+        let dir = temp_dir("ckpt_classes");
+        let run = |checkpoint: &std::path::Path| {
+            let scenario = Scenario::parse(&format!(
+                "[generator]\nmodel = \"ba\"\nn = 40\nseed = 3\n\
+                 [attack]\nstrategies = [\"random\"]\nreplicas = 1\ncheckpoint = \"{}\"",
+                checkpoint.display()
+            ))
+            .unwrap();
+            run_scenario(&scenario).unwrap_err()
+        };
+        // A checkpoint that cannot be read, even after retries, is a store
+        // failure: a served job retries it.
+        let unreadable = dir.join("a-directory");
+        std::fs::create_dir_all(&unreadable).unwrap();
+        let e = run(&unreadable);
+        assert!(matches!(e, PipelineError::Store(_)), "{e:?}");
+        assert!(e.message().contains("cannot access checkpoint"), "{e}");
+        // One that cannot be parsed is bad data, refused in one line.
+        let foreign = dir.join("v2.ckpt");
+        std::fs::write(
+            &foreign,
+            inet_exec::durable::seal("inet-sweep-checkpoint\t2\t00\tcfg".to_string()),
+        )
+        .unwrap();
+        let e = run(&foreign);
+        assert!(matches!(e, PipelineError::Data(_)), "{e:?}");
+        assert!(e.message().contains("format version 2"), "{e}");
+        assert_eq!(e.message().lines().count(), 1, "{e}");
+        // Both exit 4; a checkpoint of another run keeps its exit 5
+        // (`incompatible_checkpoint_exits_5`).
+        assert_eq!(e.exit_code(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,7 +10,7 @@
 //!   journal.log        append-only begin/commit (and service job) records, each sealed with its checksum
 //!   source.edges       stage-0 artifact (edge list of the topology)
 //!   measure.txt        stage-1 artifact (rendered measurement block)
-//!   attack.ckpt.json   stage-2 artifact (the sweep checkpoint, cell-level)
+//!   attack.ckpt        stage-2 artifact (the sweep checkpoint, cell-level)
 //!   summary.txt        stage-3 artifact (the rendered run summary)
 //! ```
 //!
@@ -303,15 +303,15 @@ impl RunStore {
     fn append(&self, stage: usize, body: String) -> Result<(), PipelineError> {
         inet_fault::check("journal.write", stage as u64)
             .map_err(|e| store_err(format!("run '{}': journal: {e}", self.id)))?;
-        self.append_record(&body)
+        self.append_record(body)
     }
 
     /// Appends one sealed record to the journal, synced. A missing or
     /// empty journal gets its header first.
-    fn append_record(&self, body: &str) -> Result<(), PipelineError> {
+    fn append_record(&self, body: String) -> Result<(), PipelineError> {
         durable::append(
             &self.dir.join(JOURNAL_FILE),
-            seal(&format!("{JOURNAL_MAGIC}\t{JOURNAL_VERSION}")).as_bytes(),
+            seal(format!("{JOURNAL_MAGIC}\t{JOURNAL_VERSION}")).as_bytes(),
             seal(body).as_bytes(),
         )
         .map_err(|e| store_err(format!("run '{}': journal: {e}", self.id)))
@@ -325,7 +325,7 @@ impl RunStore {
     pub(crate) fn append_job(&self, job: &JobRecord) -> Result<(), PipelineError> {
         self.start_session()?;
         let deadline = job.deadline_ms.map_or("-".to_string(), |ms| ms.to_string());
-        self.append_record(&format!(
+        self.append_record(format!(
             "job\t{}\t{}\t{deadline}\t{}",
             job.state,
             job.attempts,
@@ -897,7 +897,7 @@ mod tests {
     /// The first half of a sealed stage-1 commit record: what a crash
     /// mid-append leaves at the end of the journal.
     fn torn_commit_record() -> Vec<u8> {
-        let record = seal("commit\t1\tmeasure\tmeasure.txt\t0123456789abcdef\t");
+        let record = seal("commit\t1\tmeasure\tmeasure.txt\t0123456789abcdef\t".to_string());
         record.as_bytes()[..record.len() / 2].to_vec()
     }
 
@@ -962,7 +962,7 @@ mod tests {
         let root = temp_root("torn_header");
         let store = RunStore::create(&root, "ba", DOC, "s.toml", &[]).unwrap();
         let journal = store.path(JOURNAL_FILE);
-        let header = seal(&format!("{JOURNAL_MAGIC}\t{JOURNAL_VERSION}"));
+        let header = seal(format!("{JOURNAL_MAGIC}\t{JOURNAL_VERSION}"));
         for cut in 1..header.len() {
             fs::write(&journal, &header.as_bytes()[..cut]).unwrap();
             assert_eq!(store.start_session().unwrap(), vec![None; 4]);
@@ -988,13 +988,13 @@ mod tests {
         let _lock = crate::test_lock();
         let root = temp_root("external");
         let store = RunStore::create(&root, "ba", DOC, "s.toml", &[]).unwrap();
-        fs::write(store.path("attack.ckpt.json"), b"{}\n").unwrap();
+        fs::write(store.path("attack.ckpt"), b"{}\n").unwrap();
         store
-            .commit_external(2, &store.path("attack.ckpt.json"), "")
+            .commit_external(2, &store.path("attack.ckpt"), "")
             .unwrap();
         let committed = store.committed();
         let rec = committed[2].as_ref().unwrap();
-        assert_eq!(rec.artifact, "attack.ckpt.json");
+        assert_eq!(rec.artifact, "attack.ckpt");
         assert_eq!(store.load_artifact(rec).unwrap(), b"{}\n");
         let _ = fs::remove_dir_all(&root);
     }
@@ -1057,7 +1057,7 @@ mod tests {
         let root = temp_root("scan_journal");
         let good = RunStore::create(&root, "good", DOC, "s.toml", &[]).unwrap();
         let bad = RunStore::create(&root, "bad", DOC, "s.toml", &[]).unwrap();
-        let foreign = seal("inet-run-journal\t2");
+        let foreign = seal("inet-run-journal\t2".to_string());
         fs::write(bad.path(JOURNAL_FILE), &foreign).unwrap();
         let scan = scan_runs(&root);
         assert_eq!(scan.runs.len(), 1, "{:?}", scan.runs);

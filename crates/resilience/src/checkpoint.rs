@@ -9,20 +9,29 @@
 //! checks the fingerprint, and every cell already recorded is skipped
 //! instead of recomputed.
 //!
-//! **Format (version 2).** A record log in [`inet_exec::durable`]'s format
+//! **Format (version 3).** A record log in [`inet_exec::durable`]'s format
 //! (tab-separated fields, each record sealed with its own checksum):
 //!
 //! ```text
-//! inet-sweep-checkpoint  2  9a3c…  v1 strategies=[…] …  <fnv64>
-//! cell  degree  0  0  500  1234  0.062  0 500 1234 0.0 1 499 1230 1.0 …  <fnv64>
+//! inet-sweep-checkpoint  3  9a3c…  v1 strategies=[…] …  <fnv64>
+//! cell  degree  0  0  500  1234  3fafbe76c8b43958  0,0,0 1,-1,-9 1,-1,-4,3ff0000000000000 …  <fnv64>
 //! fail  random  3  0  injected worker failure  <fnv64>
 //! ```
 //!
 //! A `cell` record holds strategy, replica, resampled (0/1), nodes, edges,
-//! critical fraction, and the curve as a space-separated run of
-//! `removed giant edges ⟨s⟩` quadruples. A `fail` record holds strategy,
-//! replica, attempt and the panic message. Floats use `{:?}`, Rust's
-//! shortest round-trip form, so a load → save cycle is lossless.
+//! the critical fraction's [`f64::to_bits`] in lowercase hex, and the curve
+//! as a space-separated run of points. A `fail` record holds strategy,
+//! replica, attempt and the panic message.
+//!
+//! A point is `Δremoved,Δgiant,Δedges[,bits]`. Each `Δ` is the wrapping
+//! difference from the previous point's count, read as a signed integer
+//! and printed in decimal; the first point's "previous" is
+//! `(0, nodes, edges)`. `bits` is `⟨s⟩`'s [`f64::to_bits`] in lowercase
+//! hex, written only when it differs from the previous point's (the first
+//! point's "previous" `⟨s⟩` is `0.0`). No float is printed or parsed, so
+//! any curve round-trips bit for bit, non-monotone counts up to
+//! `usize::MAX` included, and a full-resolution point costs a few bytes
+//! instead of a `{:?}` float.
 //!
 //! **Durability.** Every write goes through [`inet_exec::durable`]:
 //!
@@ -48,14 +57,15 @@
 //!   to the fingerprint, so resuming against the wrong sweep names the
 //!   differing field (`checkpoint incompatible: seed (...)`).
 //!
-//! Version-1 files (one whole JSON document, rewritten after every cell)
-//! are refused with a one-line error; delete them to start over.
+//! Files of older versions are refused with a one-line error: version 1
+//! (one whole JSON document, rewritten after every cell) and version 2
+//! (the same log with `{:?}`-printed curves). Delete them to start over.
 
-use crate::encode::{write_points, PointFormat};
+use crate::encode::push_decimal;
 use crate::percolation::{AttackCurve, CurvePoint};
 /// Re-exported from [`inet_exec::durable`], where the checksum lives.
 pub use inet_exec::durable::fnv64;
-use inet_exec::durable::{self, escape, seal, unescape, Fnv64};
+use inet_exec::durable::{self, escape, parse_hex, seal, unescape, Fnv64};
 pub use inet_exec::{RetryExhausted, RetryPolicy};
 use inet_graph::Csr;
 use std::fmt;
@@ -64,7 +74,7 @@ use std::path::{Path, PathBuf};
 
 /// Format version written by this build; files of other versions are
 /// refused.
-pub const CHECKPOINT_VERSION: u64 = 2;
+pub const CHECKPOINT_VERSION: u64 = 3;
 
 /// First field of the header record.
 const MAGIC: &str = "inet-sweep-checkpoint";
@@ -80,7 +90,7 @@ pub enum CheckpointError {
         /// Last OS error, annotated with the attempt count.
         message: String,
     },
-    /// The file is not a readable version-2 checkpoint.
+    /// The file is not a readable version-3 checkpoint.
     Parse {
         /// Checkpoint path.
         path: PathBuf,
@@ -197,26 +207,118 @@ impl CellRecord {
     /// This cell as one checksummed log record, newline included.
     pub fn log_line(&self) -> String {
         let c = &self.curve;
-        let mut body = String::with_capacity(64 + 32 * c.points.len());
+        let mut body = String::with_capacity(96 + 16 * c.points.len());
         let _ = write!(
             body,
-            "cell\t{}\t{}\t{}\t{}\t{}\t{:?}\t",
+            "cell\t{}\t{}\t{}\t{}\t{}\t{:x}\t",
             escape(&self.strategy),
             self.replica,
             u8::from(self.resampled),
             c.nodes,
             c.edges,
-            c.critical_fraction,
+            c.critical_fraction.to_bits(),
         );
-        write_points(&mut body, &c.points, PointFormat::Log);
-        seal(&body)
+        write_curve(&mut body, c);
+        seal(body)
     }
+}
+
+/// Appends `curve`'s points in the version-3 layout (see the module doc).
+fn write_curve(out: &mut String, curve: &AttackCurve) {
+    let (mut removed, mut giant, mut edges, mut bits) = (0, curve.nodes, curve.edges, 0);
+    for (j, p) in curve.points.iter().enumerate() {
+        if j > 0 {
+            out.push(' ');
+        }
+        push_delta(out, removed, p.removed);
+        out.push(',');
+        push_delta(out, giant, p.giant);
+        out.push(',');
+        push_delta(out, edges, p.edges);
+        (removed, giant, edges) = (p.removed, p.giant, p.edges);
+        let next = p.mean_component.to_bits();
+        if next != bits {
+            bits = next;
+            out.push(',');
+            push_hex(out, bits);
+        }
+    }
+}
+
+/// Appends `n` in lowercase hex, exactly as `{:x}` prints it.
+fn push_hex(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 16];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b"0123456789abcdef"[(n & 0xf) as usize];
+        n >>= 4;
+        if n == 0 {
+            break;
+        }
+    }
+    // Only ASCII digits were written, so the conversion cannot fail.
+    out.push_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
+}
+
+/// Appends `to - from` (wrapping, read as signed) in decimal.
+fn push_delta(out: &mut String, from: usize, to: usize) {
+    let delta = to.wrapping_sub(from) as isize;
+    if delta < 0 {
+        out.push('-');
+    }
+    match delta.unsigned_abs() {
+        // Most steps move a count by one digit's worth.
+        d @ 0..=9 => out.push(char::from(b'0' + d as u8)),
+        d => push_decimal(out, d),
+    }
+}
+
+/// Inverse of [`write_curve`]: the points of a curve with `nodes` nodes and
+/// `edges` edges.
+fn parse_curve(field: &str, nodes: usize, edges: usize) -> Result<Vec<CurvePoint>, String> {
+    let mut counts = [0, nodes, edges];
+    let mut bits = 0;
+    let mut points = Vec::with_capacity(field.len() / 8);
+    for point in field.split(' ').filter(|point| !point.is_empty()) {
+        let mut parts = point.split(',');
+        for count in &mut counts {
+            let delta = parts
+                .next()
+                .ok_or("curve point has fewer than three counts")?;
+            *count = count.wrapping_add_signed(num(delta)?);
+        }
+        if let Some(field) = parts.next() {
+            bits = hex(field)?;
+        }
+        if parts.next().is_some() {
+            return Err(format!("bad curve point {point:?}"));
+        }
+        let [removed, giant, edges] = counts;
+        points.push(CurvePoint {
+            removed,
+            giant,
+            edges,
+            mean_component: f64::from_bits(bits),
+        });
+    }
+    Ok(points)
+}
+
+/// A decimal number field.
+fn num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("bad number {s:?}"))
+}
+
+/// A lowercase hex `u64` field.
+fn hex(s: &str) -> Result<u64, String> {
+    parse_hex(s.as_bytes()).ok_or_else(|| format!("bad hex number {s:?}"))
 }
 
 impl FailureRecord {
     /// This failure as one checksummed log record, newline included.
     pub fn log_line(&self) -> String {
-        seal(&format!(
+        seal(format!(
             "fail\t{}\t{}\t{}\t{}",
             escape(&self.strategy),
             self.replica,
@@ -286,14 +388,14 @@ impl Checkpoint {
 
     /// The header record, newline included.
     fn header_line(&self) -> String {
-        seal(&format!(
+        seal(format!(
             "{MAGIC}\t{CHECKPOINT_VERSION}\t{:016x}\t{}",
             self.fingerprint,
             escape(&self.config)
         ))
     }
 
-    /// The whole state as a version-2 log: header, cells, failures.
+    /// The whole state as a version-3 log: header, cells, failures.
     pub fn to_log(&self) -> String {
         let mut out = self.header_line();
         for cell in &self.cells {
@@ -416,14 +518,11 @@ impl Checkpoint {
 
 /// Reads a log's intact records with [`durable::scan`]: the checkpoint they
 /// hold (`None` without a complete header) and the scan, whose tail is
-/// what follows them. Errors only when the file is not a version-2
+/// what follows them. Errors only when the file is not a version-3
 /// checkpoint at all.
 fn parse_log(bytes: &[u8]) -> Result<(Option<Checkpoint>, durable::Scan<'_>), String> {
     if bytes.first() == Some(&b'{') {
-        return Err(format!(
-            "format version 1 (a whole JSON document) is not supported; this build \
-             reads version {CHECKPOINT_VERSION} logs only — delete the file to start the sweep over"
-        ));
+        return Err(unsupported("format version 1 (a whole JSON document)"));
     }
     let mut checkpoint: Option<Checkpoint> = None;
     let scan = durable::scan(bytes, MAGIC, |_, body| match checkpoint.as_mut() {
@@ -459,48 +558,36 @@ fn parse_header(body: &str) -> Result<Checkpoint, String> {
         return Err(format!("not a {MAGIC} file (short header)"));
     };
     if *version != CHECKPOINT_VERSION.to_string() {
-        return Err(format!(
-            "format version {version} is not supported (this build reads version \
-             {CHECKPOINT_VERSION})"
-        ));
+        return Err(unsupported(&format!("format version {version}")));
     }
     let fingerprint = u64::from_str_radix(fingerprint, 16)
         .map_err(|e| format!("bad checkpoint fingerprint: {e}"))?;
     Ok(Checkpoint::new(fingerprint, unescape(config)?))
 }
 
+/// The one-line refusal of a checkpoint written by an older build.
+fn unsupported(what: &str) -> String {
+    format!(
+        "{what} is not supported; this build reads version {CHECKPOINT_VERSION} logs only \
+         — delete the file to start the sweep over"
+    )
+}
+
 /// Parses one cell or failure record body into `ck`.
 fn parse_record(body: &str, ck: &mut Checkpoint) -> Result<(), String> {
-    fn num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-        s.parse().map_err(|_| format!("bad number {s:?}"))
-    }
     let fields: Vec<&str> = body.split('\t').collect();
     match fields.as_slice() {
         ["cell", strategy, replica, resampled, nodes, edges, critical, points] => {
-            let values: Vec<&str> = points.split(' ').filter(|v| !v.is_empty()).collect();
-            if values.len() % 4 != 0 {
-                return Err("curve points must come in quadruples".to_string());
-            }
-            let points = values
-                .chunks_exact(4)
-                .map(|q| {
-                    Ok(CurvePoint {
-                        removed: num(q[0])?,
-                        giant: num(q[1])?,
-                        edges: num(q[2])?,
-                        mean_component: num(q[3])?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
+            let (nodes, edges) = (num(nodes)?, num(edges)?);
             ck.cells.push(CellRecord {
                 strategy: unescape(strategy)?,
                 replica: num(replica)?,
                 resampled: num::<u8>(resampled)? != 0,
                 curve: AttackCurve {
-                    nodes: num(nodes)?,
-                    edges: num(edges)?,
-                    points,
-                    critical_fraction: num(critical)?,
+                    nodes,
+                    edges,
+                    points: parse_curve(points, nodes, edges)?,
+                    critical_fraction: f64::from_bits(hex(critical)?),
                 },
             });
         }
@@ -568,6 +655,9 @@ mod tests {
         ck
     }
 
+    /// The sample's first critical fraction, 0.4, as its record field.
+    const CRITICAL_0_4: &str = "\t3fd999999999999a\t";
+
     fn tmp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("inet-resilience-ckpt-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -588,71 +678,151 @@ mod tests {
     }
 
     #[test]
-    fn format_version_2_bytes_are_pinned() {
-        // The text the format produced before its framing moved to
-        // `inet_exec::durable`; existing checkpoints hold exactly these bytes.
-        const V2: &str = "inet-sweep-checkpoint\t2\tdeadbeef0badf00d\t\
-            v1 strategies=[degree,random] replicas=3 seed=7\t41e77faf9d16c1cd\n\
-            cell\tdegree\t0\t0\t5\t4\t0.4\t0 5 4 0.0 5 0 0 0.3333333333333333\t\
-            c6ccae0006a268a3\n\
-            cell\trandom\t2\t1\t5\t4\t0.0\t\t220085cd3e726925\n\
+    fn format_version_3_bytes_are_pinned() {
+        // Existing version-3 checkpoints hold exactly these bytes (the
+        // checksums were computed independently of this crate). Counts are deltas
+        // from `(0, nodes, edges)`, `⟨s⟩` and `f_c` are raw bits, and the
+        // first point's `⟨s⟩` of 0.0 is left out.
+        const V3: &str = "inet-sweep-checkpoint\t3\tdeadbeef0badf00d\t\
+            v1 strategies=[degree,random] replicas=3 seed=7\t06247b48199409ac\n\
+            cell\tdegree\t0\t0\t5\t4\t3fd999999999999a\t0,0,0 5,-5,-4,3fd5555555555555\t\
+            648b9cf598c696a1\n\
+            cell\trandom\t2\t1\t5\t4\t0\t\t0a945e4187e6b5ab\n\
             fail\trandom\t2\t0\tinjected \"panic\"\\nwith newline \\\\ and\\ttab\t\
             7019fc04efabcb0f\n";
         let log = sample_checkpoint().to_log();
-        assert_eq!(log.len(), 300);
-        assert_eq!(
-            format!("{:016x}", fnv64(log.as_bytes())),
-            "b364ad578f4c60ff"
-        );
-        assert_eq!(log, V2);
-        assert_eq!(Checkpoint::parse(V2).unwrap(), sample_checkpoint());
+        assert_eq!(log.len(), 307);
+        assert_eq!(log, V3);
+        assert_eq!(Checkpoint::parse(V3).unwrap(), sample_checkpoint());
     }
 
-    /// `CellRecord::log_line` as it was written before the shared encoder,
-    /// kept verbatim as the byte-identity oracle.
+    /// `CellRecord::log_line` written plainly with `write!`: the
+    /// byte-identity oracle for the hand-rolled encoder.
     fn log_line_oracle(cell: &CellRecord) -> String {
         let c = &cell.curve;
-        let mut body = String::with_capacity(64 + 32 * c.points.len());
-        let _ = write!(
-            body,
-            "cell\t{}\t{}\t{}\t{}\t{}\t{:?}\t",
+        let mut body = format!(
+            "cell\t{}\t{}\t{}\t{}\t{}\t{:x}\t",
             escape(&cell.strategy),
             cell.replica,
             u8::from(cell.resampled),
             c.nodes,
             c.edges,
-            c.critical_fraction,
+            c.critical_fraction.to_bits(),
         );
+        let delta = |from: usize, to: usize| to.wrapping_sub(from) as isize;
+        let (mut last, mut bits) = ((0, c.nodes, c.edges), 0.0f64.to_bits());
         for (j, p) in c.points.iter().enumerate() {
-            if j > 0 {
-                body.push(' ');
-            }
             let _ = write!(
                 body,
-                "{} {} {} {:?}",
-                p.removed, p.giant, p.edges, p.mean_component
+                "{}{},{},{}",
+                if j > 0 { " " } else { "" },
+                delta(last.0, p.removed),
+                delta(last.1, p.giant),
+                delta(last.2, p.edges),
             );
+            if p.mean_component.to_bits() != bits {
+                bits = p.mean_component.to_bits();
+                let _ = write!(body, ",{bits:x}");
+            }
+            last = (p.removed, p.giant, p.edges);
         }
-        seal(&body)
+        seal(body)
+    }
+
+    /// A random cell around `points`, with counts and floats that stress
+    /// the format.
+    fn random_cell(rng: &mut inet_stats::rng::StdRng, points: Vec<CurvePoint>) -> CellRecord {
+        let count = |rng: &mut inet_stats::rng::StdRng| match rng.gen_range(0..3usize) {
+            0 => usize::MAX - rng.gen_range(0..3usize),
+            1 => rng.gen_range(0..100_000usize),
+            _ => rng.next_u64() as usize,
+        };
+        CellRecord {
+            strategy: "kcore-recalc".to_string(),
+            replica: rng.gen_range(0..1000usize),
+            resampled: rng.gen_bool(0.5),
+            curve: AttackCurve {
+                nodes: count(rng),
+                edges: count(rng),
+                points,
+                critical_fraction: f64::from_bits(rng.next_u64()),
+            },
+        }
     }
 
     #[test]
     fn log_line_matches_the_write_oracle_on_random_curves() {
         inet_stats::rng::check(300, |rng| {
             let points = crate::encode::tests::random_points(rng);
-            let cell = CellRecord {
-                strategy: "kcore-recalc".to_string(),
-                replica: rng.gen_range(0..1000usize),
-                resampled: rng.gen_bool(0.5),
-                curve: AttackCurve {
-                    nodes: points.len(),
-                    edges: rng.gen_range(0..100_000usize),
-                    points,
-                    critical_fraction: rng.gen_range(0.0..1.0),
-                },
-            };
+            let cell = random_cell(rng, points);
             assert_eq!(cell.log_line(), log_line_oracle(&cell));
         });
+    }
+
+    #[test]
+    fn random_curves_round_trip_bit_for_bit() {
+        // Values a printed float could lose: signed zeros, subnormals,
+        // integral values at 1e16 and beyond, NaN payloads.
+        let floats = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            1e16,
+            1e16 + 2.0,
+            1.0 / 3.0,
+            f64::INFINITY,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+        ];
+        inet_stats::rng::check(300, |rng| {
+            let mut points = crate::encode::tests::random_points(rng);
+            for p in &mut points {
+                if rng.gen_bool(0.3) {
+                    p.mean_component = floats[rng.gen_range(0..floats.len())];
+                }
+                // Non-monotone counts, and the extremes.
+                if rng.gen_bool(0.1) {
+                    p.giant = [0, 1, usize::MAX][rng.gen_range(0..3usize)];
+                }
+            }
+            let cell = random_cell(rng, points);
+            let mut ck = Checkpoint::new(rng.next_u64(), "cfg");
+            ck.cells.push(cell);
+            let parsed = Checkpoint::parse(&ck.to_log()).unwrap();
+            let bits = |ck: &Checkpoint| {
+                let c = &ck.cells[0].curve;
+                let points: Vec<_> = c
+                    .points
+                    .iter()
+                    .map(|p| (p.removed, p.giant, p.edges, p.mean_component.to_bits()))
+                    .collect();
+                (c.nodes, c.edges, c.critical_fraction.to_bits(), points)
+            };
+            assert_eq!(bits(&parsed), bits(&ck));
+            assert_eq!(parsed.to_log(), ck.to_log());
+        });
+    }
+
+    #[test]
+    fn full_resolution_ba_cell_costs_at_most_16_bytes_a_point() {
+        use inet_generators::{BarabasiAlbert, Generator};
+        let g = BarabasiAlbert::new(10_000, 2)
+            .generate(&mut inet_stats::rng::seeded_rng(7))
+            .graph
+            .to_csr();
+        let order = crate::strategy::Strategy::Random.removal_order(&g, 7, 0);
+        let cell = CellRecord {
+            strategy: "random".to_string(),
+            replica: 0,
+            resampled: false,
+            curve: crate::percolation::percolation_curve(&g, &order, 1),
+        };
+        let points = cell.curve.points.len();
+        let bytes = cell.log_line().len();
+        assert_eq!(points, 10_001);
+        // Version 2 printed this cell in 313 679 bytes, 31.4 a point.
+        assert_eq!(bytes, 153_595);
+        assert!(bytes <= 16 * points, "{bytes} bytes for {points} points");
     }
 
     #[test]
@@ -663,18 +833,24 @@ mod tests {
 
     #[test]
     fn rejects_other_versions_and_foreign_files() {
-        let v3 = Checkpoint::new(1, "cfg").header_line().replacen(
-            &format!("\t{CHECKPOINT_VERSION}\t"),
-            "\t3\t",
-            1,
-        );
-        // Reseal so only the version differs.
-        let body = v3.trim_end().rsplit_once('\t').unwrap().0.to_string();
-        let err = Checkpoint::parse(&seal(&body)).unwrap_err();
-        assert!(err.contains("version 3"), "{err}");
         assert!(Checkpoint::parse("").is_err());
         assert!(Checkpoint::parse("not a checkpoint at all\n").is_err());
         assert!(Checkpoint::parse("cell\tdegree\n").is_err());
+        // A version-2 log: the same framing, with `{:?}`-printed curves.
+        const V2: &str = "inet-sweep-checkpoint\t2\tdeadbeef0badf00d\t\
+            v1 strategies=[degree,random] replicas=3 seed=7\t41e77faf9d16c1cd\n\
+            cell\tdegree\t0\t0\t5\t4\t0.4\t0 5 4 0.0 5 0 0 0.3333333333333333\t\
+            c6ccae0006a268a3\n";
+        let path = tmp_path("v2.ckpt");
+        std::fs::write(&path, V2).unwrap();
+        let err = Checkpoint::load_recovering(&path, &RetryPolicy::no_delay()).unwrap_err();
+        assert!(matches!(err, CheckpointError::Parse { .. }), "{err}");
+        let text = err.to_string();
+        assert!(text.contains("format version 2 is not supported"), "{text}");
+        assert_eq!(text.lines().count(), 1, "{text}");
+        // Refusal leaves the file untouched.
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), V2);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -731,9 +907,11 @@ mod tests {
     #[test]
     fn silent_corruption_fails_the_record_checksum() {
         let ck = sample_checkpoint();
-        // Flip one digit of critical_fraction 0.4 → 0.9: still a
+        // Flip the last hex digit of critical_fraction 0.4: still a
         // well-formed record, only the checksum can catch it.
-        let corrupt = ck.to_log().replacen("\t0.4\t", "\t0.9\t", 1);
+        let corrupt = ck
+            .to_log()
+            .replacen(CRITICAL_0_4, "\t3fd999999999999b\t", 1);
         assert_ne!(corrupt, ck.to_log());
         let err = Checkpoint::parse(&corrupt).unwrap_err();
         assert!(err.contains("record 1 (cell degree/0)"), "{err}");
@@ -744,7 +922,11 @@ mod tests {
         let path = tmp_path("corrupt.ckpt");
         let ck = sample_checkpoint();
         let text = ck.to_log();
-        std::fs::write(&path, text.replacen("\t0.4\t", "\t0.9\t", 1)).unwrap();
+        std::fs::write(
+            &path,
+            text.replacen(CRITICAL_0_4, "\t3fd999999999999b\t", 1),
+        )
+        .unwrap();
         let loaded = Checkpoint::load_recovering(&path, &RetryPolicy::no_delay())
             .unwrap()
             .unwrap();

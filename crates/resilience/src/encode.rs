@@ -1,5 +1,5 @@
-//! The one text encoder for curve points, shared by the checkpoint's `cell`
-//! records and the per-cell curve CSVs.
+//! The curve CSV encoder, and the decimal writer it shares with the
+//! checkpoint's `cell` records.
 //!
 //! A full-resolution curve has one point per removed node, so a sweep over
 //! a 10 000-node graph prints hundreds of thousands of points; through
@@ -8,33 +8,22 @@
 //!
 //! * the three counts go through a hand-rolled decimal writer, which prints
 //!   exactly the digits `{}` prints for a `usize`;
-//! * `mean_component` is still printed by std's own formatter — `{:?}` for
-//!   the log, `{}` for the CSV — but only once per run of bit-equal values
-//!   (about half of consecutive points repeat one), since the printed text
-//!   is a function of the bits alone. The two formats differ (`{:?}` prints
-//!   `1.0` where `{}` prints `1`, and switches to an exponent below 1e-4 and
-//!   from 1e16 on), so each keeps its formatter; none is reimplemented.
+//! * `mean_component` is still printed by std's own `{}` formatter, but
+//!   only once per run of bit-equal values (about half of consecutive
+//!   points repeat one), since the printed text is a function of the bits
+//!   alone.
+//!
+//! The checkpoint prints no float at all: its records hold counts as
+//! decimal deltas and `⟨s⟩` as raw bits (see [`crate::checkpoint`]).
 
 use crate::percolation::CurvePoint;
 use std::fmt::Write as _;
-
-/// The layout [`write_points`] renders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PointFormat {
-    /// The checkpoint's curve field: `removed giant edges ⟨s⟩` quadruples,
-    /// all separated by single spaces, `⟨s⟩` printed with `{:?}` (lossless
-    /// round trip).
-    Log,
-    /// One `removed,giant,edges,⟨s⟩` row per point, each ending in `\n`,
-    /// `⟨s⟩` printed with `{}`.
-    Csv,
-}
 
 /// Decimal digits of `usize::MAX`.
 const MAX_DIGITS: usize = usize::MAX.ilog10() as usize + 1;
 
 /// Appends `n` in decimal, exactly as `{}` prints it.
-fn push_decimal(out: &mut String, mut n: usize) {
+pub(crate) fn push_decimal(out: &mut String, mut n: usize) {
     let mut buf = [0u8; MAX_DIGITS];
     let mut at = MAX_DIGITS;
     loop {
@@ -49,41 +38,29 @@ fn push_decimal(out: &mut String, mut n: usize) {
     out.push_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
 }
 
-/// Appends `points` to `out` in `format`; byte for byte what the `write!`
-/// loops `"{} {} {} {:?}"` (space-joined) and `"{},{},{},{}\n"` print.
-pub fn write_points(out: &mut String, points: &[CurvePoint], format: PointFormat) {
-    let (log, sep) = match format {
-        PointFormat::Log => (true, ' '),
-        PointFormat::Csv => (false, ','),
-    };
+/// Appends `points` to `out` as CSV rows, `removed,giant,edges,⟨s⟩` each
+/// ending in `\n`; byte for byte what the `write!` loop `"{},{},{},{}\n"`
+/// prints.
+pub fn write_points(out: &mut String, points: &[CurvePoint]) {
     out.reserve(24 * points.len());
     // The text of the last distinct `mean_component`, by bit pattern.
     let mut last_bits = None;
     let mut mean_text = String::new();
-    for (j, p) in points.iter().enumerate() {
-        if log && j > 0 {
-            out.push(' ');
-        }
+    for p in points {
         push_decimal(out, p.removed);
-        out.push(sep);
+        out.push(',');
         push_decimal(out, p.giant);
-        out.push(sep);
+        out.push(',');
         push_decimal(out, p.edges);
-        out.push(sep);
+        out.push(',');
         let bits = p.mean_component.to_bits();
         if last_bits != Some(bits) {
             last_bits = Some(bits);
             mean_text.clear();
-            let _ = if log {
-                write!(mean_text, "{:?}", p.mean_component)
-            } else {
-                write!(mean_text, "{}", p.mean_component)
-            };
+            let _ = write!(mean_text, "{}", p.mean_component);
         }
         out.push_str(&mean_text);
-        if !log {
-            out.push('\n');
-        }
+        out.push('\n');
     }
 }
 
@@ -142,12 +119,6 @@ pub(crate) mod tests {
         }
     }
 
-    fn encode(points: &[CurvePoint], format: PointFormat) -> String {
-        let mut out = String::new();
-        write_points(&mut out, points, format);
-        out
-    }
-
     #[test]
     fn decimal_writer_matches_display() {
         for n in [0, 1, 9, 10, 99, 100, 12_345, usize::MAX / 10, usize::MAX] {
@@ -159,20 +130,34 @@ pub(crate) mod tests {
 
     #[test]
     fn formats_keep_their_own_float_printing() {
-        let points = [
+        let points = vec![
             point(0, 5, 4, 1.0),
             point(1, 4, 3, 1.0),
             point(2, 3, 2, 1e16),
         ];
-        assert_eq!(
-            encode(&points, PointFormat::Log),
-            "0 5 4 1.0 1 4 3 1.0 2 3 2 1e16"
+        // The CSV prints `⟨s⟩` with `{}`, once per run of equal values ...
+        let mut out = String::new();
+        write_points(&mut out, &points);
+        assert_eq!(out, "0,5,4,1\n1,4,3,1\n2,3,2,10000000000000000\n");
+        out.clear();
+        write_points(&mut out, &[]);
+        assert_eq!(out, "");
+        // ... and the checkpoint prints no float at all, only bits.
+        let cell = crate::checkpoint::CellRecord {
+            strategy: "random".to_string(),
+            replica: 0,
+            resampled: false,
+            curve: crate::percolation::AttackCurve {
+                nodes: 5,
+                edges: 4,
+                points,
+                critical_fraction: 0.0,
+            },
+        };
+        let record = cell.log_line();
+        assert!(
+            record.contains("\t0,0,0,3ff0000000000000 1,-1,-1 1,-1,-1,4341c37937e08000\t"),
+            "{record}"
         );
-        assert_eq!(
-            encode(&points, PointFormat::Csv),
-            "0,5,4,1\n1,4,3,1\n2,3,2,10000000000000000\n"
-        );
-        assert_eq!(encode(&[], PointFormat::Log), "");
-        assert_eq!(encode(&[], PointFormat::Csv), "");
     }
 }

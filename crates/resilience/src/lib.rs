@@ -25,8 +25,8 @@
 //!   a process abort), and an append-only checkpoint log ([`checkpoint`])
 //!   so an interrupted sweep resumes instead of restarting.
 //!
-//! [`encode`] is the one text encoder for curve points, shared by the
-//! checkpoint's records and the pipeline's curve CSVs.
+//! [`encode`] is the curve CSV encoder the pipeline writes curve files
+//! with; the checkpoint's records share its decimal writer.
 //!
 //! Everything is bit-identical for any thread count: cell seeds derive
 //! from the cell's position in the configuration, curves are integer
@@ -45,7 +45,7 @@ pub use checkpoint::{
     fingerprint, CellRecord, Checkpoint, CheckpointError, FailureRecord, LoadedCheckpoint,
     RetryPolicy,
 };
-pub use encode::{write_points, PointFormat};
+pub use encode::write_points;
 pub use percolation::{percolation_curve, AttackCurve, CurvePoint};
 pub use strategy::{Strategy, STRATEGY_NAMES};
 pub use sweep::{run_sweep, SweepConfig, SweepError, SweepResult};

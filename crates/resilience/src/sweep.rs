@@ -162,7 +162,7 @@ pub enum SweepError {
         /// ([`CheckpointError::Incompatible`]).
         source: CheckpointError,
     },
-    /// The checkpoint could not be read, or is not a version-2 log.
+    /// The checkpoint could not be read, or is not a version-3 log.
     Checkpoint(CheckpointError),
 }
 
@@ -186,15 +186,6 @@ impl std::error::Error for SweepError {
             SweepError::IncompatibleCheckpoint { source, .. } => Some(source),
             SweepError::Checkpoint(e) => Some(e),
         }
-    }
-}
-
-impl SweepError {
-    /// `true` for the "right file, wrong run" case — the CLI gives it a
-    /// dedicated exit code because the fix (delete the file or point
-    /// `--resume` elsewhere) differs from an IO failure's.
-    pub fn is_incompatible(&self) -> bool {
-        matches!(self, SweepError::IncompatibleCheckpoint { .. })
     }
 }
 
@@ -707,7 +698,7 @@ mod tests {
             ..cfg.clone()
         };
         let err = run_sweep(&g, &other).unwrap_err();
-        assert!(err.is_incompatible());
+        assert!(matches!(err, SweepError::IncompatibleCheckpoint { .. }));
         let text = err.to_string();
         assert!(
             text.contains("different graph or sweep configuration"),
@@ -719,7 +710,7 @@ mod tests {
         // diagnosis blames the graph.
         let g2 = Csr::from_edges(3, &[(0, 1)]);
         let err2 = run_sweep(&g2, &cfg).unwrap_err();
-        assert!(err2.is_incompatible());
+        assert!(matches!(err2, SweepError::IncompatibleCheckpoint { .. }));
         assert!(
             err2.to_string().contains("checkpoint incompatible: graph"),
             "{err2}"

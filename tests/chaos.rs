@@ -388,7 +388,7 @@ fn mid_sweep_cancellation_exits_resumable_and_resumes_bit_identically() {
         let runs = dir.join(format!("runs-{threads}"));
         let store = RunStore::create(&runs, &scenario.name, text, "s.toml", &[]).unwrap();
         let id = store.id().to_string();
-        let ckpt = store.path("attack.ckpt.json");
+        let ckpt = store.path("attack.ckpt");
         let cancel = CancelToken::new();
         let watcher = {
             let cancel = cancel.clone();

@@ -243,7 +243,7 @@ fn sigkill_mid_job_restarted_daemon_resumes_to_identical_output() {
     let id = service::response_field(&resp, "job").unwrap();
     // Wait for the attack stage to commit its first checkpoint, then
     // SIGKILL — no drain, no cleanup, mid-job by construction.
-    let ckpt = runs.join(&id).join("attack.ckpt.json");
+    let ckpt = runs.join(&id).join("attack.ckpt");
     let deadline = Instant::now() + Duration::from_secs(60);
     while !ckpt.exists() {
         assert!(
