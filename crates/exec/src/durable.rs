@@ -1,7 +1,8 @@
 //! Durable file writes: the one place the workspace fsyncs, renames and
 //! checksums what it persists (run stores, telemetry, sweep checkpoints),
 //! and the one format of an append-only record log (the run journal,
-//! which also carries a served job's lifecycle, and the sweep checkpoint).
+//! which also carries a served job's lifecycle, the sweep checkpoint and
+//! the run's telemetry log).
 //!
 //! Each step that changes the disk — the tmp write, rename and directory
 //! fsync of [`write_atomic`], the write and directory fsync of [`append`],
@@ -10,11 +11,11 @@
 //! process-wide sequence number ([`ops`]), so a test can fail exactly the
 //! k-th operation of a run: every crash point, enumerated.
 //!
-//! **Record logs** (the run journal, the sweep checkpoint): a header record,
-//! then one record per line, each of tab-separated [`escape`]d fields
-//! [`seal`]ed with its own checksum. [`read_log`] and [`scan`] find the
-//! intact records; the writer cuts a torn tail with [`Scan::cut_tail`]
-//! before its next append.
+//! **Record logs** (the run journal, the sweep checkpoint, the telemetry
+//! log): a header record, then one record per line, each of tab-separated
+//! [`escape`]d fields [`seal`]ed with its own checksum. [`read_log`] and
+//! [`scan`] find the intact records; the writer cuts a torn tail with
+//! [`Scan::cut_tail`] before its next append.
 
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};

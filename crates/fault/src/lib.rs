@@ -43,7 +43,7 @@ use std::fmt;
 /// | `checkpoint.read` | retry attempt index |
 /// | `checkpoint.write` | retry attempt index |
 /// | `pipeline.stage` | stage index of a scenario run (0 source, 1 measure, 2 attack, 3 report) |
-/// | `journal.write` | stage index whose begin/commit record is being appended |
+/// | `journal.write` | stage index whose commit record is being appended |
 /// | `artifact.rename` | stage index whose artifact is being atomically renamed into place |
 /// | `service.accept` | connection sequence index of the serve daemon's accept loop |
 /// | `service.queue` | admission sequence index of a job submission |

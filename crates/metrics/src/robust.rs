@@ -73,17 +73,6 @@ pub enum KernelStatus {
     Cancelled,
 }
 
-impl KernelStatus {
-    /// True when the kernel ran to completion (its report fields are real
-    /// measurements, not neutral fallbacks).
-    pub fn produced_values(&self) -> bool {
-        matches!(
-            self,
-            KernelStatus::Ok { .. } | KernelStatus::Degraded { .. }
-        )
-    }
-}
-
 /// Which of the six kernels [`measure_robust`] should run, indexed like
 /// [`KERNEL_NAMES`]. The default selects all of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -13,8 +13,8 @@
 //!   small thread id, and the same `(layer, scope)` vocabulary the
 //!   exec/fault layers use. Records are collected **per thread** (no lock
 //!   on the record path) and merged into a span tree on flush;
-//!   [`span::capture`] extracts one subtree — the pipeline persists it as
-//!   the `telemetry.json` run artifact.
+//!   [`span::capture`] extracts one subtree — the pipeline appends it to
+//!   the run's `telemetry.log`, one record per span.
 //! * [`expo`] — Prometheus text exposition plus a flat-JSON form, and a
 //!   small format checker the CI smoke job leans on.
 //!

@@ -11,7 +11,7 @@
 //!
 //! [`capture`] runs a closure under a root span and hands back exactly the
 //! subtree it recorded — this is how the pipeline collects per-run stage
-//! spans for the `telemetry.json` artifact without seeing spans of other
+//! spans for the `telemetry.log` run log without seeing spans of other
 //! jobs running concurrently in the same daemon.
 
 use crate::record_allowed;
@@ -31,53 +31,13 @@ pub struct SpanRecord {
     /// Small sequential id of the recording thread.
     pub thread: u64,
     /// Start time in microseconds (monotonic, relative to the process
-    /// epoch — or to the stored baseline once persisted).
+    /// epoch — or, once loaded from a run's telemetry log, to the start of
+    /// the run's first session).
     pub start_us: u64,
     /// Wall duration in microseconds.
     pub dur_us: u64,
     /// Index of the enclosing span within the same batch, if any.
     pub parent: Option<usize>,
-}
-
-impl SpanRecord {
-    /// Serializes as the compact pipe-separated line stored in
-    /// `telemetry.json`: `name|scope|thread|start_us|dur_us|parent`.
-    pub fn to_line(&self) -> String {
-        format!(
-            "{}|{}|{}|{}|{}|{}",
-            self.name,
-            self.scope,
-            self.thread,
-            self.start_us,
-            self.dur_us,
-            self.parent.map_or("-".to_string(), |p| p.to_string())
-        )
-    }
-
-    /// Parses [`SpanRecord::to_line`] output; `None` on malformed input.
-    pub fn parse_line(line: &str) -> Option<SpanRecord> {
-        let mut parts = line.split('|');
-        let name = parts.next()?.to_string();
-        let scope = parts.next()?.parse().ok()?;
-        let thread = parts.next()?.parse().ok()?;
-        let start_us = parts.next()?.parse().ok()?;
-        let dur_us = parts.next()?.parse().ok()?;
-        let parent = match parts.next()? {
-            "-" => None,
-            p => Some(p.parse().ok()?),
-        };
-        if parts.next().is_some() || name.is_empty() {
-            return None;
-        }
-        Some(SpanRecord {
-            name,
-            scope,
-            thread,
-            start_us,
-            dur_us,
-            parent,
-        })
-    }
 }
 
 /// Microseconds since the process epoch (first use).
@@ -342,24 +302,6 @@ pub fn render_tree(records: &[SpanRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_line_round_trips() {
-        let r = SpanRecord {
-            name: "pipeline.stage".into(),
-            scope: 2,
-            thread: 1,
-            start_us: 10,
-            dur_us: 99,
-            parent: Some(0),
-        };
-        assert_eq!(SpanRecord::parse_line(&r.to_line()), Some(r.clone()));
-        let root = SpanRecord { parent: None, ..r };
-        assert_eq!(SpanRecord::parse_line(&root.to_line()), Some(root));
-        assert_eq!(SpanRecord::parse_line("bad"), None);
-        assert_eq!(SpanRecord::parse_line("a|1|2|3|4|x"), None);
-        assert_eq!(SpanRecord::parse_line("a|1|2|3|4|-|extra"), None);
-    }
 
     #[test]
     fn capture_returns_a_nested_subtree() {

@@ -26,7 +26,7 @@ use inet_stats::rng::seeded_rng;
 use crate::report;
 use crate::runstore::RunStore;
 use crate::scenario::{Scenario, Source};
-use crate::telemetry::Telemetry;
+use crate::telemetry;
 use crate::PipelineError;
 
 /// Stage names, indexed by their `pipeline.stage` failpoint scope.
@@ -91,9 +91,9 @@ pub struct ExecOptions {
     /// [`PipelineError::Interrupted`]; completed work is already
     /// journaled/checkpointed.
     pub cancel: CancelToken,
-    /// When present, every stage journals begin/commit records and writes
-    /// checksummed artifacts; on resume, committed stages replay from
-    /// their artifacts instead of re-executing.
+    /// When present, every stage journals a commit record, with a
+    /// checksummed artifact when a resume replays it; on resume, committed
+    /// stages replay from their artifacts instead of re-executing.
     pub store: Option<RunStore>,
 }
 
@@ -141,18 +141,16 @@ fn measure_warnings(r: &RobustReport) -> Vec<String> {
 /// artifacts and re-executes from the first uncommitted one.
 ///
 /// The whole run executes under a captured `run` span; for journaled runs
-/// the captured subtree is appended to the run's `telemetry.json`
-/// (accumulating across resume sessions). Telemetry is inert: a persist
-/// failure is swallowed, and the spans never influence the outcome.
+/// the captured subtree is appended to the run's `telemetry.log` as one
+/// session. Telemetry is inert: a persist failure is swallowed, and the
+/// spans never influence the outcome.
 pub fn run_scenario_with(
     scenario: &Scenario,
     opts: &ExecOptions,
 ) -> Result<RunOutcome, PipelineError> {
     let (result, spans) = inet_obs::span::capture("run", 0, || run_scenario_inner(scenario, opts));
     if let Some(st) = opts.store.as_ref() {
-        let mut telemetry = Telemetry::load(st);
-        telemetry.append(spans);
-        let _ = telemetry.save(st);
+        let _ = telemetry::append_session(st, &spans);
     }
     result
 }
@@ -196,9 +194,6 @@ fn run_scenario_inner(
     let (graph, source_desc) = match replayed_source {
         Some(pair) => pair,
         None => stage(0, || {
-            if let Some(st) = store {
-                st.begin(0)?;
-            }
             let (graph, desc) = build_source(scenario)?;
             if let Some(st) = store {
                 let mut buf = Vec::new();
@@ -232,9 +227,6 @@ fn run_scenario_inner(
         }
         if !replayed {
             let r = stage(1, || {
-                if let Some(st) = store {
-                    st.begin(1)?;
-                }
                 let giant = inet_graph::traversal::giant_component(&graph.to_csr()).0;
                 let opt = RobustOptions {
                     report: ReportOptions {
@@ -266,17 +258,17 @@ fn run_scenario_inner(
     } else if let (Some(st), None) = (store, committed[1].as_ref()) {
         // The scenario has no measure section: journal the skip so the
         // run's progress reads "complete" once the later stages land.
-        st.begin(1)?;
-        st.commit_bytes(1, "measure.skip", b"", "skipped")?;
+        st.commit(1)?;
     }
     if cancel.is_cancelled() {
         return Err(interrupted_error(store));
     }
 
-    // Stage 2: attack — the checkpoint *is* the artifact, at cell
-    // granularity: journaled runs auto-wire one into the run directory,
-    // and resume (committed or mid-sweep) picks finished cells back up
-    // from it bit-identically.
+    // Stage 2: attack — the checkpoint holds the stage's state, at cell
+    // granularity, and checks its own records: journaled runs auto-wire
+    // one into the run directory, and resume (committed or mid-sweep)
+    // picks finished cells back up from it bit-identically. The commit
+    // record carries no artifact.
     let mut sweep = None;
     if let Some(a) = &scenario.attack {
         let checkpoint = match (&a.checkpoint, store) {
@@ -285,9 +277,6 @@ fn run_scenario_inner(
             (None, None) => None,
         };
         let s = stage(2, || {
-            if let Some(st) = store {
-                st.begin(2)?;
-            }
             let csr = graph.to_csr();
             let record_every = if a.record_every == 0 {
                 (csr.node_count() / 200).max(1)
@@ -301,14 +290,14 @@ fn run_scenario_inner(
                 threads,
                 record_every,
                 bc_sources: a.bc_sources,
-                checkpoint: checkpoint.clone(),
+                checkpoint,
                 cancel: cancel.clone(),
                 ..SweepConfig::default()
             };
             let result = run_sweep(&csr, &cfg).map_err(attack_error)?;
             if !result.interrupted {
-                if let (Some(st), Some(ckpt)) = (store, checkpoint.as_deref()) {
-                    st.commit_external(2, ckpt, "")?;
+                if let Some(st) = store {
+                    st.commit(2)?;
                 }
             }
             Ok(result)
@@ -318,8 +307,7 @@ fn run_scenario_inner(
         }
         sweep = Some(s);
     } else if let (Some(st), None) = (store, committed[2].as_ref()) {
-        st.begin(2)?;
-        st.commit_bytes(2, "attack.skip", b"", "skipped")?;
+        st.commit(2)?;
     }
     if cancel.is_cancelled() {
         return Err(interrupted_error(store));
@@ -352,9 +340,6 @@ fn run_scenario_inner(
         measure_replay,
     };
     stage(3, || {
-        if let Some(st) = store {
-            st.begin(3)?;
-        }
         report::emit(scenario, &graph, &mut outcome, threads)?;
         if let Some(st) = store {
             st.commit_bytes(
@@ -448,6 +433,7 @@ pub fn check_graph(g: &MultiGraph, enabled: bool, what: &str) -> Result<(), Pipe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runstore::CommitRecord;
     use crate::scenario::Scenario;
     use inet_resilience::Strategy;
 
@@ -626,12 +612,16 @@ mod tests {
         let clean_cells = clean.sweep.as_ref().unwrap().cells.clone();
         let csv_before = std::fs::read_to_string(curves.join("random-r0.csv")).unwrap();
 
-        // Every stage committed, every artifact passes its checksum.
+        // Every stage committed; every artifact passes its checksum, and
+        // the attack, whose checkpoint checks itself, has none.
         let store = RunStore::open(&runs, &id).unwrap();
         let committed = store.committed();
         assert!(committed.iter().all(Option::is_some), "{committed:?}");
         for rec in committed.iter().flatten() {
-            store.load_artifact(rec).unwrap();
+            assert_eq!(rec.artifact.is_none(), rec.stage == 2, "{rec:?}");
+            if rec.artifact.is_some() {
+                store.load_artifact(rec).unwrap();
+            }
         }
         assert!(store.path("attack.ckpt").exists());
 
@@ -673,6 +663,156 @@ mod tests {
             .collect()
     }
 
+    /// The names of the files in `dir`, sorted.
+    fn file_names(dir: &std::path::Path) -> Vec<String> {
+        read_dir_bytes(dir).into_keys().collect()
+    }
+
+    #[test]
+    fn a_run_directory_holds_only_what_a_reader_reads() {
+        let _lock = crate::test_lock();
+        let dir = temp_dir("listing");
+        let runs = dir.join("runs");
+        let run = |sections: &str| {
+            let text = format!("[generator]\nmodel = \"ba\"\nn = 60\nseed = 3\n{sections}");
+            let scenario = Scenario::parse(&text).unwrap();
+            let store = RunStore::create(&runs, &scenario.name, &text, "s.toml", &[]).unwrap();
+            let store_dir = store.dir().to_path_buf();
+            let opts = ExecOptions {
+                store: Some(store),
+                ..Default::default()
+            };
+            run_scenario_with(&scenario, &opts).unwrap();
+            file_names(&store_dir)
+        };
+        let all = run("[measure]\nmetrics = [\"degree\"]\n[attack]\nreplicas = 1\n");
+        assert_eq!(
+            all,
+            [
+                "attack.ckpt",
+                "journal.log",
+                "manifest.json",
+                "measure.txt",
+                "source.edges",
+                "summary.txt",
+                "telemetry.log"
+            ]
+        );
+        // Skipped stages commit a record and leave no file.
+        let bare = run("");
+        assert_eq!(
+            bare,
+            [
+                "journal.log",
+                "manifest.json",
+                "source.edges",
+                "summary.txt",
+                "telemetry.log"
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The journal builds before this layout wrote for [`OLDER_SCENARIO`] at
+    /// one thread, byte for byte: `begin` records, the skipped measure
+    /// stage committed as the empty `measure.skip`, and the attack
+    /// committed as `attack.ckpt` with its checksum.
+    const OLDER_JOURNAL: &str = "inet-run-journal\t1\t1d35a1c087524a4b\n\
+        begin\t0\tsource\tedfcd4f7b6d6689f\n\
+        commit\t0\tsource\tsource.edges\t23d4fe5a8fa93f5a\t\
+        generated BA m=2 (40 nodes, 77 edges, weight 77)\td5a7e23696d9d8b4\n\
+        begin\t1\tmeasure\td9e85c255ee77c8d\n\
+        commit\t1\tmeasure\tmeasure.skip\tcbf29ce484222325\tskipped\t0a50ec9af71fcca9\n\
+        begin\t2\tattack\t3374e372903760f0\n\
+        commit\t2\tattack\tattack.ckpt\teae73d9f0fe4de1b\t\t5134cafcd3787e5a\n\
+        begin\t3\treport\t98e489063967782f\n\
+        commit\t3\treport\tsummary.txt\t74ac15c2f6833ea5\t\t70b33fcda2863751\n";
+
+    const OLDER_SCENARIO: &str = "[generator]\nmodel = \"ba\"\nn = 40\nseed = 5\n\
+        [attack]\nstrategies = [\"random\", \"degree\"]\nreplicas = 1\nrecord = 2\n";
+
+    #[test]
+    fn an_older_journal_reads_as_committed_and_resumes_identically() {
+        use inet_exec::durable::fnv64;
+        let _lock = crate::test_lock();
+        let dir = temp_dir("older_journal");
+        let runs = dir.join("runs");
+        let scenario = |threads: usize| {
+            let mut s = Scenario::parse(OLDER_SCENARIO).unwrap();
+            s.threads = Some(threads);
+            s
+        };
+        let store = RunStore::create(&runs, "ba", OLDER_SCENARIO, "s.toml", &[]).unwrap();
+        let id = store.id().to_string();
+        let opts = |store| ExecOptions {
+            store: Some(store),
+            ..Default::default()
+        };
+        let clean = run_scenario_with(&scenario(1), &opts(store)).unwrap();
+        let store = RunStore::open(&runs, &id).unwrap();
+        // The artifacts this build wrote are the ones the journal names.
+        for (artifact, sum) in [
+            ("source.edges", 0x23d4_fe5a_8fa9_3f5a_u64),
+            ("attack.ckpt", 0xeae7_3d9f_0fe4_de1b),
+            ("summary.txt", 0x74ac_15c2_f683_3ea5),
+        ] {
+            let bytes = std::fs::read(store.path(artifact)).unwrap();
+            assert_eq!(fnv64(&bytes), sum, "{artifact}");
+        }
+        let without_resumed = |summary: &str| -> String {
+            summary
+                .lines()
+                .filter(|l| !l.starts_with("resumed "))
+                .map(|l| format!("{l}\n"))
+                .collect()
+        };
+        let commit = |stage, artifact: &str, sum, detail: &str| {
+            Some(CommitRecord {
+                stage,
+                artifact: Some((artifact.to_string(), sum)),
+                detail: detail.to_string(),
+            })
+        };
+        for threads in [1usize, 2, 7] {
+            std::fs::write(store.path("journal.log"), OLDER_JOURNAL).unwrap();
+            std::fs::write(store.path("measure.skip"), b"").unwrap();
+            assert_eq!(
+                store.committed(),
+                [
+                    commit(
+                        0,
+                        "source.edges",
+                        0x23d4_fe5a_8fa9_3f5a,
+                        "generated BA m=2 (40 nodes, 77 edges, weight 77)"
+                    ),
+                    commit(1, "measure.skip", 0xcbf2_9ce4_8422_2325, "skipped"),
+                    commit(2, "attack.ckpt", 0xeae7_3d9f_0fe4_de1b, ""),
+                    commit(3, "summary.txt", 0x74ac_15c2_f683_3ea5, ""),
+                ]
+            );
+            assert_eq!(
+                crate::runstore::scan_runs(&runs).runs[0].status(),
+                "complete"
+            );
+            let resumed = run_scenario_with(
+                &scenario(threads),
+                &opts(RunStore::open(&runs, &id).unwrap()),
+            )
+            .unwrap();
+            assert!(resumed.warnings.is_empty(), "{:?}", resumed.warnings);
+            assert_eq!(resumed.source, clean.source);
+            let sweep = resumed.sweep.as_ref().unwrap();
+            assert_eq!(sweep.resumed, 2, "threads {threads}");
+            assert_eq!(sweep.cells, clean.sweep.as_ref().unwrap().cells);
+            assert_eq!(
+                without_resumed(&resumed.summary),
+                without_resumed(&clean.summary),
+                "threads {threads}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn pre_v3_run_directory_recomputes_the_sweep_bit_identically() {
         use inet_exec::durable::{fnv64, seal};
@@ -699,7 +839,7 @@ mod tests {
 
         // Turn the run directory into one an older build left: the
         // checkpoint is a version-2 log named `attack.ckpt.json`, and the
-        // journal's attack commit names that file.
+        // journal's attack commit names that file with its checksum.
         let store = RunStore::open(&runs, &id).unwrap();
         let v3 = std::fs::read_to_string(store.path("attack.ckpt")).unwrap();
         let header = v3.lines().next().unwrap();
@@ -716,9 +856,10 @@ mod tests {
                     .split('\t')
                     .map(str::to_string)
                     .collect();
-                if fields[0] == "commit" && fields[3] == "attack.ckpt" {
-                    fields[3] = "attack.ckpt.json".to_string();
-                    fields[4] = format!("{:016x}", fnv64(v2.as_bytes()));
+                if fields[..2] == ["commit", "2"] {
+                    fields.push("attack.ckpt.json".to_string());
+                    fields.push(format!("{:016x}", fnv64(v2.as_bytes())));
+                    fields.push(String::new());
                 }
                 seal(fields.join("\t"))
             })
@@ -749,10 +890,7 @@ mod tests {
         };
         let recomputed = std::fs::read_to_string(store.path("attack.ckpt")).unwrap();
         assert_eq!(sorted(recomputed), sorted(v3));
-        assert_eq!(
-            store.committed()[2].as_ref().unwrap().artifact,
-            "attack.ckpt"
-        );
+        assert_eq!(store.committed()[2].as_ref().unwrap().artifact, None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1052,14 +1190,16 @@ mod tests {
             let reference = reference.unwrap();
             // Run directory fsync, then the manifest, which holds the
             // scenario text (tmp write, rename, directory fsync): 4.
-            // Source: begin append plus the journal's directory fsync, the
-            // artifact's three steps, the commit append: 6. Measure: 5.
-            // Attack: begin, one append per cell plus the log's directory
-            // fsync, the commit: cells + 3. Report: 5. Telemetry: 3.
+            // Source: the artifact's three steps, then the commit append
+            // that creates the journal, with its directory fsync: 5.
+            // Measure: the artifact's three steps and the commit: 4.
+            // Attack: one append per cell plus the checkpoint's directory
+            // fsync, then the commit: cells + 2. Report: 4. Telemetry: the
+            // append that creates the log, with its directory fsync: 2.
             let cells = 2;
             assert_eq!(
                 n,
-                4 + 6 + 5 + (cells + 3) + 5 + 3,
+                4 + 5 + 4 + (cells + 2) + 4 + 2,
                 "durable operations per run"
             );
 

@@ -1,17 +1,18 @@
 //! The crash-safe run store: `runs/<run-id>/` with a content-hashed
 //! manifest, an append-only journal, and atomically written, checksummed
-//! per-stage artifacts.
+//! artifacts for the stages a resume replays.
 //!
 //! ## Layout
 //!
 //! ```text
 //! runs/<run-id>/
 //!   manifest.json      identity: the scenario text, overrides and version, FNV-hashed
-//!   journal.log        append-only begin/commit (and service job) records, each sealed with its checksum
+//!   journal.log        append-only commit (and service job) records, each sealed with its checksum
 //!   source.edges       stage-0 artifact (edge list of the topology)
-//!   measure.txt        stage-1 artifact (rendered measurement block)
-//!   attack.ckpt        stage-2 artifact (the sweep checkpoint, cell-level)
+//!   measure.txt        stage-1 artifact (rendered measurement block), when the scenario measures
+//!   attack.ckpt        the sweep checkpoint (cell-level), when the scenario attacks
 //!   summary.txt        stage-3 artifact (the rendered run summary)
+//!   telemetry.log      the run's spans, one session appended per run or resume
 //! ```
 //!
 //! ## Commit protocol
@@ -19,18 +20,24 @@
 //! Every write goes through [`inet_exec::durable`]. [`RunStore::create`]
 //! fsyncs the new run directory's entry, then writes the manifest (scenario
 //! text included) atomically, so a listed run always has it whole. A stage
-//! is *committed* when its commit record is in the journal: the artifact is
-//! written atomically (the `artifact.rename` failpoint fires just before),
-//! then the record carrying its FNV-64 checksum is appended (the
-//! `journal.write` failpoint sits on every append). A crash or failure at
+//! is *committed* when its commit record is in the journal. A stage that a
+//! resume replays (source, measure, report) first writes its artifact
+//! atomically (the `artifact.rename` failpoint fires just before), then
+//! appends the record carrying the artifact's FNV-64 checksum; the
+//! `journal.write` failpoint sits on every append. A stage with nothing to
+//! replay — a skipped stage, or the attack, whose checkpoint checks its own
+//! records — commits a record with no artifact. A crash or failure at
 //! any step before the commit record leaves the stage uncommitted and
 //! resume re-executes it; after it, the stage replays from its artifact.
 //! Artifacts are trusted only when a commit record with a matching checksum
 //! exists. The journal is a record log in [`inet_exec::durable`]'s format:
-//! the header `inet-run-journal 1`, then `begin <stage> <name>` and
-//! `commit <stage> <name> <artifact> <checksum> <detail>` records; a job
+//! the header `inet-run-journal 1`, then
+//! `commit <stage> <name> <artifact> <checksum> <detail>` and
+//! `commit <stage> <name>` records; a job
 //! served by `inet serve` adds `job <state> <attempts> <deadline_ms|->
-//! <error>` records, the last intact one being its state. Readers never
+//! <error>` records, the last intact one being its state. Journals written
+//! by older builds also hold `begin <stage> <name>` records, which the
+//! reader skips, and artifact commits of skipped stages. Readers never
 //! write; a run session, and each job record, cuts a torn tail first.
 //! DESIGN.md §4f tabulates the crash points; a test fails every
 //! durable operation of a journaled run in turn and resumes it.
@@ -67,10 +74,10 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 pub struct CommitRecord {
     /// Stage index (`pipeline.stage` scope).
     pub stage: usize,
-    /// Artifact file name (relative to the run directory) or path.
-    pub artifact: String,
-    /// FNV-64 checksum of the artifact bytes at commit time.
-    pub checksum: u64,
+    /// The artifact file name (relative to the run directory) and the
+    /// FNV-64 checksum of its bytes at commit time; `None` for a stage
+    /// with nothing to replay.
+    pub artifact: Option<(String, u64)>,
     /// Free-form stage detail replayed on resume (source description,
     /// warning lines, sink list).
     pub detail: String,
@@ -333,27 +340,10 @@ impl RunStore {
         ))
     }
 
-    /// Journals the start of a stage.
+    /// Journals the start of a stage. The pipeline itself writes no such
+    /// record, and the reader skips them.
     pub fn begin(&self, stage: usize) -> Result<(), PipelineError> {
         self.append(stage, format!("begin\t{stage}\t{}", STAGE_NAMES[stage]))
-    }
-
-    fn append_commit(
-        &self,
-        stage: usize,
-        artifact: &str,
-        checksum: u64,
-        detail: &str,
-    ) -> Result<(), PipelineError> {
-        self.append(
-            stage,
-            format!(
-                "commit\t{stage}\t{}\t{}\t{checksum:016x}\t{}",
-                STAGE_NAMES[stage],
-                escape(artifact),
-                escape(detail)
-            ),
-        )
     }
 
     /// Commits a stage whose artifact is `bytes`: an atomic write (the
@@ -370,30 +360,22 @@ impl RunStore {
             .map_err(|e| store_err(format!("run '{}': artifact '{artifact}': {e}", self.id)))?;
         durable::write_atomic(&self.dir.join(artifact), bytes)
             .map_err(|e| store_err(format!("run '{}': artifact '{artifact}': {e}", self.id)))?;
-        self.append_commit(stage, artifact, fnv64(bytes), detail)
+        self.append(
+            stage,
+            format!(
+                "commit\t{stage}\t{}\t{}\t{:016x}\t{}",
+                STAGE_NAMES[stage],
+                escape(artifact),
+                fnv64(bytes),
+                escape(detail)
+            ),
+        )
     }
 
-    /// Commits a stage whose artifact already exists on disk (the attack
-    /// checkpoint, written atomically by the checkpoint layer itself):
-    /// records its checksum without rewriting it.
-    pub fn commit_external(
-        &self,
-        stage: usize,
-        artifact_path: &Path,
-        detail: &str,
-    ) -> Result<(), PipelineError> {
-        let bytes = fs::read(artifact_path).map_err(|e| {
-            data(format!(
-                "run '{}': artifact '{}': {e}",
-                self.id,
-                artifact_path.display()
-            ))
-        })?;
-        let artifact = match artifact_path.strip_prefix(&self.dir) {
-            Ok(rel) => rel.display().to_string(),
-            Err(_) => artifact_path.display().to_string(),
-        };
-        self.append_commit(stage, &artifact, fnv64(&bytes), detail)
+    /// Commits a stage with nothing to replay: one journal record, no
+    /// artifact.
+    pub fn commit(&self, stage: usize) -> Result<(), PipelineError> {
+        self.append(stage, format!("commit\t{stage}\t{}", STAGE_NAMES[stage]))
     }
 
     /// The latest commit record per stage among the journal's intact
@@ -420,18 +402,20 @@ impl RunStore {
     /// (silent corruption, or a crash that journaled before the rename
     /// landed) is an error the caller degrades to re-execution.
     pub fn load_artifact(&self, rec: &CommitRecord) -> Result<Vec<u8>, PipelineError> {
-        let path = self.dir.join(&rec.artifact);
-        let bytes = fs::read(&path).map_err(|e| {
-            data(format!(
-                "run '{}': artifact '{}': {e}",
-                self.id, rec.artifact
-            ))
-        })?;
-        let actual = fnv64(&bytes);
-        if actual != rec.checksum {
+        let Some((artifact, checksum)) = &rec.artifact else {
             return Err(data(format!(
-                "run '{}': artifact '{}' failed its checksum (journal {:016x}, file {actual:016x})",
-                self.id, rec.artifact, rec.checksum
+                "run '{}': the {} stage committed no artifact",
+                self.id, STAGE_NAMES[rec.stage]
+            )));
+        };
+        let bytes = fs::read(self.dir.join(artifact))
+            .map_err(|e| data(format!("run '{}': artifact '{artifact}': {e}", self.id)))?;
+        let actual = fnv64(&bytes);
+        if actual != *checksum {
+            return Err(data(format!(
+                "run '{}': artifact '{artifact}' failed its checksum (journal {checksum:016x}, \
+                 file {actual:016x})",
+                self.id
             )));
         }
         Ok(bytes)
@@ -473,19 +457,25 @@ fn read_journal(bytes: &[u8]) -> Journal<'_> {
             .and_then(|s| s.parse::<usize>().ok())
             .filter(|&stage| stage < STAGE_NAMES.len())
             .ok_or("bad stage")?;
-        match fields.as_slice() {
-            ["begin", _, _name] => Ok(()),
-            ["commit", _, _name, artifact, checksum, detail] => {
-                committed[stage] = Some(CommitRecord {
-                    stage,
-                    artifact: unescape(artifact)?,
-                    checksum: u64::from_str_radix(checksum, 16).map_err(|e| e.to_string())?,
-                    detail: unescape(detail)?,
-                });
-                Ok(())
-            }
-            _ => Err("unknown journal record".to_string()),
-        }
+        committed[stage] = Some(match fields.as_slice() {
+            // Written by older builds at each stage's start.
+            ["begin", _, _name] => return Ok(()),
+            ["commit", _, _name] => CommitRecord {
+                stage,
+                artifact: None,
+                detail: String::new(),
+            },
+            ["commit", _, _name, artifact, checksum, detail] => CommitRecord {
+                stage,
+                artifact: Some((
+                    unescape(artifact)?,
+                    u64::from_str_radix(checksum, 16).map_err(|e| e.to_string())?,
+                )),
+                detail: unescape(detail)?,
+            },
+            _ => return Err("unknown journal record".to_string()),
+        });
+        Ok(())
     });
     (committed, job, scan)
 }
@@ -869,9 +859,20 @@ mod tests {
         let committed = store.committed();
         let rec = committed[0].as_ref().unwrap();
         assert_eq!(rec.stage, 0);
-        assert_eq!(rec.artifact, "source.edges");
+        assert_eq!(rec.artifact.as_ref().unwrap().0, "source.edges");
         assert_eq!(rec.detail, detail, "detail must survive escaping");
         assert_eq!(store.load_artifact(rec).unwrap(), b"0 1 1\n");
+        assert!(committed[1].is_none());
+        // A stage with nothing to replay commits a record alone.
+        store.commit(2).unwrap();
+        let committed = store.committed();
+        let rec = committed[2].as_ref().unwrap();
+        assert_eq!((rec.artifact.as_ref(), rec.detail.as_str()), (None, ""));
+        let e = store.load_artifact(rec).unwrap_err();
+        assert!(
+            e.message().contains("attack stage committed no artifact"),
+            "{e}"
+        );
         assert!(committed[1].is_none());
         let _ = fs::remove_dir_all(&root);
     }
@@ -952,7 +953,10 @@ mod tests {
             .unwrap();
         let committed = session.committed();
         assert!(committed[0].is_some());
-        assert_eq!(committed[1].as_ref().unwrap().artifact, "measure.txt");
+        assert_eq!(
+            committed[1].as_ref().unwrap().artifact.as_ref().unwrap().0,
+            "measure.txt"
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -980,22 +984,6 @@ mod tests {
         let e = store.start_session().unwrap_err();
         assert!(e.message().contains(JOURNAL_FILE), "{e}");
         assert_eq!(fs::read(&journal).unwrap(), foreign);
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn commit_external_records_a_run_relative_name() {
-        let _lock = crate::test_lock();
-        let root = temp_root("external");
-        let store = RunStore::create(&root, "ba", DOC, "s.toml", &[]).unwrap();
-        fs::write(store.path("attack.ckpt"), b"{}\n").unwrap();
-        store
-            .commit_external(2, &store.path("attack.ckpt"), "")
-            .unwrap();
-        let committed = store.committed();
-        let rec = committed[2].as_ref().unwrap();
-        assert_eq!(rec.artifact, "attack.ckpt");
-        assert_eq!(store.load_artifact(rec).unwrap(), b"{}\n");
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -1,29 +1,41 @@
-//! The per-run telemetry artifact: `telemetry.json` in the run directory.
+//! The per-run telemetry log: `telemetry.log` in the run directory.
 //!
 //! Every journaled run persists the span tree its driving thread recorded
 //! (captured via [`inet_obs::span::capture`], so concurrent jobs in the
-//! same daemon never contaminate each other). The artifact accumulates
-//! across sessions: a resumed run **appends** a new session rather than
-//! overwriting, so `inet trace <run-id>` reports the cumulative truth —
-//! the crashed attempt's spans and the resumed attempt's spans, in order.
+//! same daemon never contaminate each other). The log accumulates across
+//! sessions: a resumed run **appends** its session, so `inet trace
+//! <run-id>` reports the cumulative truth — the crashed attempt's spans and
+//! the resumed attempt's spans, in order.
 //!
-//! Telemetry is inert by contract: the artifact is written through the
-//! same [`inet_exec::durable::write_atomic`] path as stage artifacts but
-//! outside the journal protocol, and every persistence failure is
-//! swallowed by the caller — a run can never fail because its timing file
-//! could not be written. The file carries its own FNV-64 checksum; a torn or tampered
-//! file loads as empty (the next session starts a fresh accumulation)
-//! instead of erroring.
+//! The log is a record log in [`inet_exec::durable`]'s format: the header
+//! `inet-run-telemetry 1`, then one sealed record per span,
+//! `<session> <name> <scope> <thread> <start_us> <dur_us> <parent|->`. The
+//! session tag is the log position of the session's first record, and the
+//! parent indexes the session's own records. A run session stores its
+//! spans as recorded, in one [`durable::append`] after cutting a torn tail,
+//! and never reads or rewrites earlier sessions. [`Telemetry::load_path`]
+//! replays each stored session through [`Telemetry::append`], which
+//! sequences it after the ones before, so a torn or corrupt record costs
+//! only itself and the records after it.
+//!
+//! Telemetry is inert by contract: the log sits outside the journal
+//! protocol, and every persistence failure is swallowed by the caller — a
+//! run can never fail because its timing log could not be written. A
+//! `telemetry.json` left by an older build is not read.
 
+use std::io;
 use std::path::Path;
 
-use inet_exec::durable::{self, fnv64};
+use inet_exec::durable::{self, escape, seal, unescape, Scan};
 use inet_obs::span::{render_tree, SpanRecord};
 
-use crate::runstore::{escape_json, parse_flat, JsonVal, RunStore};
+use crate::runstore::RunStore;
 
-/// Telemetry artifact file name inside a run directory.
-pub const TELEMETRY_FILE: &str = "telemetry.json";
+/// Telemetry log file name inside a run directory.
+pub const TELEMETRY_FILE: &str = "telemetry.log";
+/// The log's header record: its magic, then the format version.
+const TELEMETRY_MAGIC: &str = "inet-run-telemetry";
+const TELEMETRY_VERSION: &str = "1";
 
 /// The accumulated span tree of one run, across every session that worked
 /// on it (initial run + resumes).
@@ -34,36 +46,32 @@ pub struct Telemetry {
     /// Every span, parents as indices into this vector; sessions are
     /// time-shifted so they sequence one after another.
     pub spans: Vec<SpanRecord>,
+    /// Where each session's spans start in `spans`.
+    starts: Vec<usize>,
 }
 
 impl Telemetry {
-    /// Loads the artifact at `path`. Missing, torn, malformed, or
-    /// checksum-failing files all load as `None` — the caller degrades to
-    /// an empty accumulation, never an error.
+    /// Loads the log at `path`: every session in its intact records. A
+    /// missing file, or one that is not a telemetry log, loads as `None` —
+    /// the caller degrades to an empty accumulation, never an error.
     pub fn load_path(path: &Path) -> Option<Telemetry> {
-        let text = std::fs::read_to_string(path).ok()?;
-        let obj = parse_flat(&text)?;
-        let sessions = u64::try_from(obj.get("sessions").and_then(JsonVal::as_int)?).ok()?;
-        let lines = match obj.get("spans")? {
-            JsonVal::Arr(items) => items.clone(),
-            _ => return None,
-        };
-        let checksum = obj
-            .get("checksum")
-            .and_then(JsonVal::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())?;
-        if fnv64(lines.join("\n").as_bytes()) != checksum {
-            return None;
-        }
-        let spans = lines
-            .iter()
-            .map(|l| SpanRecord::parse_line(l))
-            .collect::<Option<Vec<_>>>()?;
-        Some(Telemetry { sessions, spans })
+        let bytes = std::fs::read(path).ok()?;
+        let mut telemetry = Telemetry::default();
+        let mut session = (0, Vec::new());
+        scan_log(&bytes, |tag, span| {
+            if tag != session.0 {
+                telemetry.append(std::mem::take(&mut session.1));
+                session.0 = tag;
+            }
+            session.1.push(span);
+        })
+        .ok()?;
+        telemetry.append(session.1);
+        Some(telemetry)
     }
 
     /// Loads the run's telemetry, or an empty accumulation when the run
-    /// has none yet (pre-telemetry runs, torn files).
+    /// has none yet.
     pub fn load(store: &RunStore) -> Telemetry {
         Telemetry::load_path(&store.path(TELEMETRY_FILE)).unwrap_or_default()
     }
@@ -83,6 +91,7 @@ impl Telemetry {
             r.parent = r.parent.map(|p| p + offset);
             self.spans.push(r);
         }
+        self.starts.push(offset);
         self.sessions += 1;
     }
 
@@ -96,27 +105,18 @@ impl Telemetry {
             .unwrap_or(0)
     }
 
-    /// Renders the artifact: flat JSON with the span lines and their
-    /// FNV-64 checksum.
-    pub fn render(&self) -> String {
-        let lines: Vec<String> = self.spans.iter().map(SpanRecord::to_line).collect();
-        let checksum = fnv64(lines.join("\n").as_bytes());
-        let spans = lines
-            .iter()
-            .map(|l| format!("\"{}\"", escape_json(l)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\n  \"version\": 1,\n  \"sessions\": {},\n  \"spans\": [{spans}],\n  \
-             \"checksum\": \"{checksum:016x}\"\n}}\n",
-            self.sessions
-        )
-    }
-
-    /// Persists atomically into the run directory (no journal record —
-    /// telemetry sits outside the commit protocol).
-    pub fn save(&self, store: &RunStore) -> std::io::Result<()> {
-        durable::write_atomic(&store.path(TELEMETRY_FILE), self.render().as_bytes())
+    /// Replaces the run's log with this accumulation, each session under
+    /// its own tag. A stored session already starts where the one before
+    /// it ends, so loading it back shifts nothing.
+    pub fn save(&self, store: &RunStore) -> io::Result<()> {
+        let mut log = header();
+        for (k, &start) in self.starts.iter().enumerate() {
+            let end = self.starts.get(k + 1).copied().unwrap_or(self.spans.len());
+            for span in &self.spans[start..end] {
+                push_span(&mut log, start + 1, span, start);
+            }
+        }
+        durable::write_atomic(&store.path(TELEMETRY_FILE), log.as_bytes())
     }
 
     /// The stored span tree as an indented table with self/total times.
@@ -144,6 +144,79 @@ impl Telemetry {
     }
 }
 
+/// Appends one session's spans, as recorded, to the run's log in one
+/// durable append. A torn tail is cut first, so the session is never glued
+/// onto a fragment and lost with it.
+pub(crate) fn append_session(store: &RunStore, spans: &[SpanRecord]) -> io::Result<()> {
+    if spans.is_empty() {
+        return Ok(());
+    }
+    let path = store.path(TELEMETRY_FILE);
+    let bytes = durable::read_log(&path)?;
+    let scan = scan_log(&bytes, |_, _| {}).map_err(io::Error::other)?;
+    scan.cut_tail(&path)?;
+    // The header is record 0, written with the first session.
+    let tag = scan.records.max(1);
+    let mut records = String::new();
+    for span in spans {
+        push_span(&mut records, tag, span, 0);
+    }
+    durable::append(&path, header().as_bytes(), records.as_bytes())
+}
+
+fn header() -> String {
+    seal(format!("{TELEMETRY_MAGIC}\t{TELEMETRY_VERSION}"))
+}
+
+/// Seals `span` as a record of session `tag`, its parent made relative to
+/// the session's first span at `base`.
+fn push_span(out: &mut String, tag: usize, span: &SpanRecord, base: usize) {
+    let parent = span
+        .parent
+        .map_or("-".to_string(), |p| (p - base).to_string());
+    out.push_str(&seal(format!(
+        "{tag}\t{}\t{}\t{}\t{}\t{}\t{parent}",
+        escape(&span.name),
+        span.scope,
+        span.thread,
+        span.start_us,
+        span.dur_us
+    )));
+}
+
+/// Scans a telemetry log, handing each intact span record to `each` with
+/// its session tag. Returns the scan, whose torn tail a session cuts, or
+/// why the bytes are not a telemetry log.
+fn scan_log(bytes: &[u8], mut each: impl FnMut(u64, SpanRecord)) -> Result<Scan<'_>, String> {
+    durable::scan(bytes, TELEMETRY_MAGIC, |index, body| {
+        let fields: Vec<&str> = body.split('\t').collect();
+        if index == 0 {
+            // `scan` checked the magic; the version is left.
+            return match fields[..] {
+                [_, TELEMETRY_VERSION] => Ok(()),
+                _ => Err(format!("unsupported telemetry header {body:?}")),
+            };
+        }
+        let [tag, name, scope, thread, start_us, dur_us, parent] = fields[..] else {
+            return Err("bad span record".to_string());
+        };
+        let num = |field: &str| field.parse::<u64>().map_err(|e| e.to_string());
+        let span = SpanRecord {
+            name: unescape(name)?,
+            scope: num(scope)?,
+            thread: num(thread)?,
+            start_us: num(start_us)?,
+            dur_us: num(dur_us)?,
+            parent: match parent {
+                "-" => None,
+                p => Some(p.parse().map_err(|_| "bad parent")?),
+            },
+        };
+        each(num(tag)?, span);
+        Ok(())
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,6 +227,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn store(root: &Path) -> RunStore {
+        RunStore::create(
+            root,
+            "t",
+            "[generator]\nmodel = \"ba\"\nn = 10\n",
+            "s.toml",
+            &[],
+        )
+        .unwrap()
     }
 
     fn span(
@@ -173,30 +257,117 @@ mod tests {
         }
     }
 
+    /// Two sessions as a run records them: process-clock times, parents
+    /// within the batch.
+    fn session_1() -> Vec<SpanRecord> {
+        vec![
+            span("run", 0, 50, 900, None),
+            span("pipeline.stage", 0, 60, 400, Some(0)),
+            span("exec.fanout", 3, 70, 100, Some(1)),
+        ]
+    }
+
+    fn session_2() -> Vec<SpanRecord> {
+        vec![
+            span("run", 0, 9_000, 2_000, None),
+            span("pipeline.replay", 0, 9_010, 30, Some(0)),
+            span("pipeline.stage", 1, 9_050, 500, Some(0)),
+        ]
+    }
+
     #[test]
     fn save_load_round_trips_through_the_store() {
         let _lock = crate::test_lock();
         let root = temp_root("roundtrip");
-        let store = RunStore::create(
-            &root,
-            "t",
-            "[generator]\nmodel = \"ba\"\nn = 10\n",
-            "s.toml",
-            &[],
-        )
-        .unwrap();
+        let store = store(&root);
         let mut t = Telemetry::default();
-        t.append(vec![
-            span("run", 0, 50, 900, None),
-            span("pipeline.stage", 0, 60, 400, Some(0)),
-        ]);
+        t.append(session_1());
+        t.append(session_2());
         t.save(&store).unwrap();
         let back = Telemetry::load(&store);
         assert_eq!(back, t);
-        assert_eq!(back.sessions, 1);
+        assert_eq!(back.sessions, 2);
         // The first session is rebased to start at 0.
         assert_eq!(back.spans[0].start_us, 0);
         assert_eq!(back.spans[1].start_us, 10);
+        // Saving what was loaded writes the same log.
+        let log = std::fs::read(store.path(TELEMETRY_FILE)).unwrap();
+        back.save(&store).unwrap();
+        assert_eq!(std::fs::read(store.path(TELEMETRY_FILE)).unwrap(), log);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn sessions_append_and_load_as_one_accumulation() {
+        let _lock = crate::test_lock();
+        let root = temp_root("sessions");
+        let store = store(&root);
+        assert_eq!(Telemetry::load_path(&store.path(TELEMETRY_FILE)), None);
+        append_session(&store, &session_1()).unwrap();
+        let log = std::fs::read(store.path(TELEMETRY_FILE)).unwrap();
+        append_session(&store, &session_2()).unwrap();
+        // The second session only appended.
+        assert!(std::fs::read(store.path(TELEMETRY_FILE))
+            .unwrap()
+            .starts_with(&log));
+        let mut expected = Telemetry::default();
+        expected.append(session_1());
+        expected.append(session_2());
+        assert_eq!(Telemetry::load(&store), expected);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_session_appended_after_a_torn_fragment_keeps_the_first() {
+        let _lock = crate::test_lock();
+        let root = temp_root("torn");
+        let store = store(&root);
+        let path = store.path(TELEMETRY_FILE);
+        append_session(&store, &session_1()).unwrap();
+        // A crash mid-append leaves half a record.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let intact = bytes.len();
+        let mut torn = String::new();
+        push_span(&mut torn, 4, &session_2()[0], 0);
+        bytes.extend_from_slice(&torn.as_bytes()[..torn.len() / 2]);
+        std::fs::write(&path, &bytes).unwrap();
+        let mut one = Telemetry::default();
+        one.append(session_1());
+        assert_eq!(Telemetry::load(&store), one, "the fragment is not read");
+        append_session(&store, &session_2()).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[intact..].iter().filter(|&&b| b == b'\n').count(), 3);
+        let mut two = one.clone();
+        two.append(session_2());
+        assert_eq!(Telemetry::load(&store), two);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_corrupt_record_costs_only_itself_and_what_follows() {
+        let _lock = crate::test_lock();
+        let root = temp_root("corrupt");
+        let store = store(&root);
+        let path = store.path(TELEMETRY_FILE);
+        append_session(&store, &session_1()).unwrap();
+        append_session(&store, &session_2()).unwrap();
+        // Flip a digit inside session 2's second record.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 7, "{text}");
+        let target = lines[5].replacen("9010", "9011", 1);
+        assert_ne!(target, lines[5]);
+        let corrupted = text.replacen(lines[5], &target, 1);
+        std::fs::write(&path, corrupted).unwrap();
+        let mut expected = Telemetry::default();
+        expected.append(session_1());
+        expected.append(session_2()[..1].to_vec());
+        assert_eq!(Telemetry::load(&store), expected, "session 1 whole");
+        // A foreign file is not a telemetry log, and is never cut.
+        std::fs::write(&path, "{\"version\": 1}\n").unwrap();
+        assert_eq!(Telemetry::load_path(&path), None);
+        assert!(append_session(&store, &session_1()).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"{\"version\": 1}\n");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -220,33 +391,6 @@ mod tests {
         let (total, stages) = t.totals();
         assert_eq!(total, 3_000, "both sessions' run roots counted");
         assert_eq!(stages, 2, "one executed + one replayed stage");
-    }
-
-    #[test]
-    fn torn_or_tampered_files_load_as_empty() {
-        let _lock = crate::test_lock();
-        let root = temp_root("torn");
-        let store = RunStore::create(
-            &root,
-            "t",
-            "[generator]\nmodel = \"ba\"\nn = 10\n",
-            "s.toml",
-            &[],
-        )
-        .unwrap();
-        assert_eq!(Telemetry::load(&store), Telemetry::default(), "missing");
-        std::fs::write(store.path(TELEMETRY_FILE), "{\"version\": 1, \"sess").unwrap();
-        assert_eq!(Telemetry::load(&store), Telemetry::default(), "torn");
-        let mut t = Telemetry::default();
-        t.append(vec![span("run", 0, 0, 10, None)]);
-        let tampered = t.render().replace("run|", "fun|");
-        std::fs::write(store.path(TELEMETRY_FILE), tampered).unwrap();
-        assert_eq!(
-            Telemetry::load(&store),
-            Telemetry::default(),
-            "checksum mismatch degrades to empty"
-        );
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

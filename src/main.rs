@@ -200,7 +200,7 @@ enum Command {
     Runs {
         runs_dir: Option<String>,
         /// `--stats`: wall time and stage count per run from the
-        /// telemetry artifact (dash for pre-telemetry runs).
+        /// telemetry log (dash for runs without one).
         stats: bool,
     },
     Generate {
@@ -267,7 +267,7 @@ struct ServeArgs {
     deadline_ms: Option<u64>,
     /// Graceful-drain budget before in-flight jobs are cancelled.
     drain_timeout_ms: u64,
-    /// Per-connection socket read timeout.
+    /// Per-connection socket read and write timeout.
     read_timeout_ms: u64,
     /// Oversized-request rejection threshold.
     max_request_bytes: usize,
@@ -846,7 +846,7 @@ fn help_text() -> String {
          --runs-dir <dir>                   job journal root (shared across restarts)\n  \
          --deadline-ms <ms>                 default per-job deadline\n  \
          --drain-timeout-ms <ms>            drain budget before in-flight jobs cancel\n  \
-         --read-timeout-ms <ms>             per-connection socket read timeout\n  \
+         --read-timeout-ms <ms>             per-connection socket read/write timeout\n  \
          --max-request-bytes <B>            oversized-request rejection threshold\n  \
          --addr <host:port>                 submit/job: daemon address\n\n\
          options:\n  \
@@ -968,7 +968,7 @@ fn run(cmd: Command) -> Result<(), PipelineError> {
             } else {
                 for info in scan.runs {
                     if stats {
-                        // Pre-telemetry and torn artifacts print dashes,
+                        // A run without a telemetry log prints dashes,
                         // never an error — old runs stay listable.
                         let (wall, stages) =
                             match Telemetry::load_path(&root.join(&info.id).join(TELEMETRY_FILE)) {
@@ -1164,7 +1164,7 @@ fn run(cmd: Command) -> Result<(), PipelineError> {
         Command::TraceRun { run_id, runs_dir } => {
             let root = std::path::PathBuf::from(runs_dir.as_deref().unwrap_or(DEFAULT_RUNS_DIR));
             // Open validates the run exists (typo-friendly error with the
-            // 'runs list' hint); the telemetry artifact itself is optional.
+            // 'runs list' hint); the telemetry log itself is optional.
             let store = RunStore::open(&root, &run_id)?;
             let telemetry = Telemetry::load(&store);
             if telemetry.spans.is_empty() {
@@ -1208,7 +1208,6 @@ fn run_serve(args: ServeArgs) -> Result<(), PipelineError> {
         default_deadline_ms: args.deadline_ms,
         drain_timeout_ms: args.drain_timeout_ms,
         read_timeout_ms: args.read_timeout_ms,
-        write_timeout_ms: args.read_timeout_ms,
         max_request_bytes: args.max_request_bytes,
         job_threads: args.job_threads,
         quiet: false,

@@ -29,7 +29,6 @@ fn test_config(runs: PathBuf) -> ServiceConfig {
         queue_capacity: 8,
         runs_dir: runs,
         read_timeout_ms: 400,
-        write_timeout_ms: 400,
         max_request_bytes: 4 * 1024,
         quiet: true,
         ..ServiceConfig::default()
