@@ -433,14 +433,22 @@ mod tests {
     /// Runs one random round through the fast path and the oracle, asserts
     /// they agree bit for bit, and returns the fast path's counters. A
     /// `storm` case uses the distance kernel at a small reach with the full
-    /// budget, so its rounds end in rejection storms.
-    fn fast_path_case(rng: &mut StdRng, storm: bool) -> MatchStats {
+    /// budget, so its rounds end in rejection storms. A `huge` case mixes
+    /// deficits near 1e16 with ones from 1e10 to 1e16 plus a small odd
+    /// value, so that `(x − w) + w ≠ x` in the sampler's sums and weight
+    /// round trips change bits.
+    fn fast_path_case(rng: &mut StdRng, storm: bool, huge: bool) -> MatchStats {
         let n = rng.gen_range(2..48usize);
         let deficits: Vec<f64> = (0..n)
-            .map(|_| match rng.gen_range(0..4usize) {
-                0 => rng.gen_range(0.0..1.0),
-                1 => rng.gen_range(0..8usize) as f64,
-                2 => rng.gen_range(1.0..12.0),
+            .map(|_| match (huge, rng.gen_range(0..4usize)) {
+                (false, 0) => rng.gen_range(0.0..1.0),
+                (false, 1) => rng.gen_range(0..8usize) as f64,
+                (_, 2) => rng.gen_range(1.0..12.0),
+                (true, 0) => 1e16 * rng.gen_range(0.5..2.0),
+                (true, 1) => {
+                    let scale = 10f64.powi(rng.gen_range(10..16usize) as i32);
+                    scale * rng.gen_range(1.0..2.0) + (2 * rng.gen_range(0..8usize) + 1) as f64
+                }
                 _ => 0.0,
             })
             .collect();
@@ -516,8 +524,9 @@ mod tests {
             bounded += stats.bounded;
             stormed += stats.stormed;
         };
-        inet_stats::rng::check(160, |rng| tally(fast_path_case(rng, false)));
-        inet_stats::rng::check(60, |rng| tally(fast_path_case(rng, true)));
+        inet_stats::rng::check(160, |rng| tally(fast_path_case(rng, false, false)));
+        inet_stats::rng::check(60, |rng| tally(fast_path_case(rng, true, false)));
+        inet_stats::rng::check(60, |rng| tally(fast_path_case(rng, true, true)));
         assert!(bounded > 0, "no case took the bound");
         assert!(stormed > 0, "no case took the storm bound");
     }

@@ -276,23 +276,42 @@ fn push_delta(out: &mut String, from: usize, to: usize) {
 
 /// Inverse of [`write_curve`]: the points of a curve with `nodes` nodes and
 /// `edges` edges.
+///
+/// One forward pass over the bytes. Points are split on `' '` (empty ones
+/// skipped) and their fields on `','`; each count is a decimal `isize`
+/// as `str::parse` reads it, and the optional fourth field is lowercase
+/// hex. Errors name the first bad piece in reading order.
 fn parse_curve(field: &str, nodes: usize, edges: usize) -> Result<Vec<CurvePoint>, String> {
+    let bytes = field.as_bytes();
     let mut counts = [0, nodes, edges];
     let mut bits = 0;
     let mut points = Vec::with_capacity(field.len() / 8);
-    for point in field.split(' ').filter(|point| !point.is_empty()) {
-        let mut parts = point.split(',');
+    let mut at = 0;
+    while at < bytes.len() {
+        if bytes[at] == b' ' {
+            at += 1;
+            continue;
+        }
+        let point = at;
+        // Whether a piece starts at `at`: the previous one ended in a comma.
+        let mut more = true;
         for count in &mut counts {
-            let delta = parts
-                .next()
-                .ok_or("curve point has fewer than three counts")?;
-            *count = count.wrapping_add_signed(num(delta)?);
+            if !more {
+                return Err("curve point has fewer than three counts".to_string());
+            }
+            let (delta, end) = delta_at(field, at)?;
+            *count = count.wrapping_add_signed(delta);
+            more = bytes.get(end) == Some(&b',');
+            at = end + usize::from(more);
         }
-        if let Some(field) = parts.next() {
-            bits = hex(field)?;
-        }
-        if parts.next().is_some() {
-            return Err(format!("bad curve point {point:?}"));
+        if more {
+            let end = piece_end(bytes, at, b",");
+            bits = hex(&field[at..end])?;
+            if bytes.get(end) == Some(&b',') {
+                let point = &field[point..piece_end(bytes, end, b"")];
+                return Err(format!("bad curve point {point:?}"));
+            }
+            at = end;
         }
         let [removed, giant, edges] = counts;
         points.push(CurvePoint {
@@ -303,6 +322,51 @@ fn parse_curve(field: &str, nodes: usize, edges: usize) -> Result<Vec<CurvePoint
         });
     }
     Ok(points)
+}
+
+/// The end of the piece starting at `at`: the first space or `stops` byte
+/// from there, or the end of `bytes`.
+fn piece_end(bytes: &[u8], at: usize, stops: &[u8]) -> usize {
+    bytes[at..]
+        .iter()
+        .position(|b| *b == b' ' || stops.contains(b))
+        .map_or(bytes.len(), |i| at + i)
+}
+
+/// The signed decimal count starting at byte `start` of `field`, and where
+/// it ends: what `str::parse::<isize>` makes of the piece up to the next
+/// `','` or `' '`.
+fn delta_at(field: &str, start: usize) -> Result<(isize, usize), String> {
+    let bytes = field.as_bytes();
+    let negative = bytes.get(start) == Some(&b'-');
+    let first = start + usize::from(negative || bytes.get(start) == Some(&b'+'));
+    let mut at = first;
+    let mut magnitude: Option<usize> = Some(0);
+    while let Some(digit) = bytes
+        .get(at)
+        .and_then(|b| b.checked_sub(b'0'))
+        .filter(|d| *d < 10)
+    {
+        magnitude = magnitude
+            .and_then(|m| m.checked_mul(10))
+            .and_then(|m| m.checked_add(usize::from(digit)));
+        at += 1;
+    }
+    let limit = if negative {
+        isize::MIN.unsigned_abs()
+    } else {
+        isize::MAX.unsigned_abs()
+    };
+    match magnitude.filter(|m| *m <= limit) {
+        Some(m) if at > first && matches!(bytes.get(at), None | Some(b',' | b' ')) => {
+            let delta = if negative { 0usize.wrapping_sub(m) } else { m };
+            Ok((delta as isize, at))
+        }
+        _ => Err(format!(
+            "bad number {:?}",
+            &field[start..piece_end(bytes, start, b",")]
+        )),
+    }
 }
 
 /// A decimal number field.
@@ -748,6 +812,127 @@ mod tests {
                 critical_fraction: f64::from_bits(rng.next_u64()),
             },
         }
+    }
+
+    /// `parse_curve` as it was before the one-pass reader, kept as the
+    /// oracle: split on `' '` and `','`, then `str::parse` each count.
+    fn parse_curve_split(
+        field: &str,
+        nodes: usize,
+        edges: usize,
+    ) -> Result<Vec<CurvePoint>, String> {
+        let mut counts = [0, nodes, edges];
+        let mut bits = 0;
+        let mut points = Vec::new();
+        for point in field.split(' ').filter(|point| !point.is_empty()) {
+            let mut parts = point.split(',');
+            for count in &mut counts {
+                let delta = parts
+                    .next()
+                    .ok_or("curve point has fewer than three counts")?;
+                *count = count.wrapping_add_signed(num(delta)?);
+            }
+            if let Some(field) = parts.next() {
+                bits = hex(field)?;
+            }
+            if parts.next().is_some() {
+                return Err(format!("bad curve point {point:?}"));
+            }
+            let [removed, giant, edges] = counts;
+            points.push(CurvePoint {
+                removed,
+                giant,
+                edges,
+                mean_component: f64::from_bits(bits),
+            });
+        }
+        Ok(points)
+    }
+
+    /// The one-pass reader accepts and refuses exactly what the split
+    /// reader does, with the same points and the same message, on written
+    /// curves, byte-mutated ones, and strings over the format's alphabet.
+    #[test]
+    fn parse_curve_matches_the_split_oracle() {
+        let pieces = [
+            "0",
+            "1",
+            "-1",
+            "+7",
+            "-",
+            "+",
+            "",
+            ",",
+            " ",
+            "  ",
+            ",,",
+            "a",
+            "f",
+            "ff",
+            "x",
+            "é",
+            "007",
+            "-0",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999",
+            "ffffffffffffffff",
+            "10000000000000000",
+            "+-1",
+            "1-",
+        ];
+        let bits = |r: Result<Vec<CurvePoint>, String>| {
+            r.map(|points| {
+                points
+                    .iter()
+                    .map(|p| (p.removed, p.giant, p.edges, p.mean_component.to_bits()))
+                    .collect::<Vec<_>>()
+            })
+        };
+        inet_stats::rng::check(2000, |rng| {
+            let mut field = if rng.gen_bool(0.5) {
+                let points = crate::encode::tests::random_points(rng);
+                let cell = random_cell(rng, points);
+                let mut out = String::new();
+                write_curve(&mut out, &cell.curve);
+                out
+            } else {
+                (0..rng.gen_range(0..12usize))
+                    .map(|_| pieces[rng.gen_range(0..pieces.len())])
+                    .collect()
+            };
+            for _ in 0..rng.gen_range(0..4usize) {
+                if field.is_empty() {
+                    break;
+                }
+                // Replace, insert or delete a piece at a char boundary.
+                let mut at = rng.gen_range(0..field.len());
+                while !field.is_char_boundary(at) {
+                    at -= 1;
+                }
+                let piece = pieces[rng.gen_range(0..pieces.len())];
+                match rng.gen_range(0..3usize) {
+                    0 => field.insert_str(at, piece),
+                    1 => {
+                        field.remove(at);
+                    }
+                    _ => {
+                        field.remove(at);
+                        field.insert_str(at, piece);
+                    }
+                }
+            }
+            let (nodes, edges) = (rng.next_u64() as usize, rng.gen_range(0..100usize));
+            assert_eq!(
+                bits(parse_curve(&field, nodes, edges)),
+                bits(parse_curve_split(&field, nodes, edges)),
+                "{field:?}"
+            );
+        });
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //!   Albert–Jeong–Barabási attack studies.
 //! * **Recalculated** — re-score the *damaged* graph as the attack
 //!   proceeds. Degree recalculation is exact per removal (a lazy max-heap);
-//!   k-core and betweenness recalculate in batches of `⌈N/64⌉` removals,
-//!   which captures the adaptive effect at a bounded `64×` recompute cost.
+//!   k-core and betweenness re-rank in batches of `⌈N/64⌉` removals. The
+//!   k-core order keeps the survivors' core numbers exact as nodes die (a
+//!   worklist descent over the original graph); betweenness re-scores the
+//!   survivors' induced subgraph 64 times.
 //!
 //! Ties always break toward the smaller node id, and the only randomness
 //! (uniform failure) comes from an explicit seed, so every order is a pure
@@ -104,7 +106,7 @@ impl Strategy {
             }),
             Strategy::Degree { recalc: true } => adaptive_degree_order(g),
             Strategy::KCore { recalc: false } => static_order(g, kcore_score),
-            Strategy::KCore { recalc: true } => batched_order(g, kcore_score),
+            Strategy::KCore { recalc: true } => kcore_recalc_order(g),
             Strategy::Betweenness { recalc: false } => {
                 static_order(g, |g| betweenness_score(g, bc_sources))
             }
@@ -207,6 +209,140 @@ fn batched_order(g: &Csr, score: impl Fn(&Csr) -> Vec<u64>) -> Vec<u32> {
         }
     }
     order
+}
+
+/// The batched adaptive k-core order: the order `batched_order(g,
+/// kcore_score)` gives, without building a subgraph. Each batch is picked
+/// by the same key, `(Reverse(core << 32 | alive degree), original id)`,
+/// from core numbers that [`LiveCores`] keeps exact as nodes die.
+fn kcore_recalc_order(g: &Csr) -> Vec<u32> {
+    let n = g.node_count();
+    let batch = n.div_ceil(RECALC_BATCHES).max(1);
+    let mut live = LiveCores::new(g);
+    let mut survivors: Vec<u32> = (0..n as u32).collect();
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    while !survivors.is_empty() {
+        let key = |&v: &u32| (std::cmp::Reverse(live.score(v as usize)), v);
+        let take = batch.min(survivors.len());
+        if take < survivors.len() {
+            survivors.select_nth_unstable_by_key(take, key);
+        }
+        survivors[..take].sort_unstable_by_key(key);
+        live.remove(&survivors[..take]);
+        order.extend(survivors.drain(..take));
+    }
+    order
+}
+
+/// Core numbers of the subgraph induced by the surviving nodes, kept exact
+/// under batched deletions over the original CSR.
+///
+/// Deletions only lower core numbers, so the old values are upper bounds.
+/// From any upper bound, replacing a node's value by the h-index of its
+/// alive neighbours' values (capped at its own) converges to the exact
+/// core numbers (Lü et al., Nat. Commun. 7:10168, 2016; Montresor et al.,
+/// IEEE TPDS 2013). A worklist holds every node whose value may exceed
+/// that h-index, so only the nodes a batch can affect are evaluated.
+struct LiveCores<'g> {
+    g: &'g Csr,
+    alive: Vec<bool>,
+    /// Alive neighbours of each alive node.
+    degree: Vec<u32>,
+    /// Core number of each alive node in the survivors' induced subgraph.
+    core: Vec<u32>,
+    queued: Vec<bool>,
+    work: Vec<u32>,
+    /// `count[k]`: alive neighbours whose core, capped, is `k` (h-index
+    /// scratch, zeroed after each use).
+    count: Vec<u32>,
+}
+
+impl<'g> LiveCores<'g> {
+    fn new(g: &'g Csr) -> Self {
+        let n = g.node_count();
+        let degree: Vec<u32> = (0..n).map(|v| g.degree(v) as u32).collect();
+        let max_degree = degree.iter().copied().max().unwrap_or(0) as usize;
+        LiveCores {
+            g,
+            alive: vec![true; n],
+            degree,
+            core: KCoreDecomposition::measure(g).core,
+            queued: vec![false; n],
+            work: Vec::new(),
+            count: vec![0; max_degree + 1],
+        }
+    }
+
+    /// The ranking score of alive node `v`: core number, then alive degree.
+    fn score(&self, v: usize) -> u64 {
+        (u64::from(self.core[v]) << 32) | u64::from(self.degree[v])
+    }
+
+    /// Deletes `batch` (alive, distinct nodes) and lowers the survivors'
+    /// core numbers to their new exact values.
+    fn remove(&mut self, batch: &[u32]) {
+        for &v in batch {
+            self.alive[v as usize] = false;
+        }
+        for &v in batch {
+            let c = self.core[v as usize];
+            for &u in self.g.neighbors(v as usize) {
+                let ui = u as usize;
+                if self.alive[ui] {
+                    self.degree[ui] -= 1;
+                    if self.core[ui] <= c {
+                        self.enqueue(u);
+                    }
+                }
+            }
+        }
+        while let Some(u) = self.work.pop() {
+            let ui = u as usize;
+            self.queued[ui] = false;
+            let a = self.core[ui];
+            let b = self.h_index(ui, a);
+            if b < a {
+                self.core[ui] = b;
+                for &w in self.g.neighbors(ui) {
+                    let wi = w as usize;
+                    if self.alive[wi] && b < self.core[wi] && self.core[wi] <= a {
+                        self.enqueue(w);
+                    }
+                }
+            }
+        }
+    }
+
+    fn enqueue(&mut self, u: u32) {
+        if !std::mem::replace(&mut self.queued[u as usize], true) {
+            self.work.push(u);
+        }
+    }
+
+    /// The h-index of `u`'s alive neighbours' core numbers, capped at
+    /// `cap`: the largest `k ≤ cap` with at least `k` of them `≥ k`.
+    fn h_index(&mut self, u: usize, cap: u32) -> u32 {
+        let cap = cap.min(self.degree[u]);
+        for &w in self.g.neighbors(u) {
+            let wi = w as usize;
+            if self.alive[wi] {
+                self.count[self.core[wi].min(cap) as usize] += 1;
+            }
+        }
+        let mut k = cap;
+        let mut at_least = 0;
+        loop {
+            at_least += std::mem::take(&mut self.count[k as usize]);
+            if at_least >= k {
+                break;
+            }
+            k -= 1;
+        }
+        for c in &mut self.count[..k as usize] {
+            *c = 0;
+        }
+        k
+    }
 }
 
 #[cfg(test)]
@@ -416,6 +552,105 @@ mod tests {
                 batched_order_full_sort(&g, |g| betweenness_score(g, 8))
             );
         });
+    }
+
+    /// A random graph mixing the shapes a descent must get right: isolated
+    /// nodes, pairs, stars and cliques of 2 to 15 nodes, and a dense random
+    /// part whose shells run deep.
+    fn shell_graph(rng: &mut inet_stats::rng::StdRng) -> Csr {
+        let n = rng.gen_range(1..150usize);
+        let mut edges = Vec::new();
+        let p = [0.0, 0.02, 0.1, 0.4][rng.gen_range(0..4usize)];
+        let dense = rng.gen_range(0..=n);
+        for i in 0..dense {
+            for j in (i + 1)..dense {
+                if rng.gen_bool(p) {
+                    edges.push((i, j));
+                }
+            }
+        }
+        for _ in 0..rng.gen_range(0..6usize) {
+            let size = rng.gen_range(2..=15usize).min(n);
+            let mut members: Vec<usize> = (0..n).collect();
+            rng.shuffle(&mut members);
+            let members = &members[..size];
+            if rng.gen_bool(0.5) {
+                for (i, &a) in members.iter().enumerate() {
+                    edges.extend(members[i + 1..].iter().map(|&b| (a, b)));
+                }
+            } else {
+                edges.extend(members[1..].iter().map(|&b| (members[0], b)));
+            }
+        }
+        Csr::from_edges(n, &edges)
+    }
+
+    /// After every batch, the maintained core numbers and alive degrees
+    /// equal a fresh decomposition of the survivors' induced subgraph, for
+    /// the attack's own batches and for random ones.
+    #[test]
+    fn live_cores_stay_exact_after_every_batch() {
+        inet_stats::rng::check(240, |rng| {
+            let g = shell_graph(rng);
+            let n = g.node_count();
+            let own = kcore_recalc_order(&g);
+            let mut shuffled: Vec<u32> = (0..n as u32).collect();
+            rng.shuffle(&mut shuffled);
+            let own_batch = n.div_ceil(RECALC_BATCHES).max(1);
+            let random_batch = rng.gen_range(1..=n.div_ceil(4));
+            for (order, batch) in [(own, own_batch), (shuffled, random_batch)] {
+                let mut live = LiveCores::new(&g);
+                for chunk in order.chunks(batch) {
+                    live.remove(chunk);
+                    let (sub, map) = g.induced_subgraph(&live.alive);
+                    let fresh = KCoreDecomposition::measure(&sub).core;
+                    for (new, &old) in map.iter().enumerate() {
+                        assert_eq!(live.core[old], fresh[new], "core of {old}");
+                        assert_eq!(live.degree[old] as usize, sub.degree(new));
+                    }
+                }
+                assert!(live.count.iter().all(|&c| c == 0));
+            }
+        });
+    }
+
+    /// FNV-64 of the `random`, `degree`, `degree-recalc`, `kcore` and
+    /// `kcore-recalc` orders (each id as a little-endian u64, strategies in
+    /// that sequence). BA with m = 2 never has a core above 2; the PFP and
+    /// Serrano graphs have many shells.
+    #[test]
+    fn orders_match_their_known_answers() {
+        use inet_generators::{BarabasiAlbert, Generator, Pfp, SerranoModel, SerranoParams};
+        let digest = |gen: &dyn Generator, seed: u64| {
+            let g = gen
+                .generate(&mut inet_stats::rng::seeded_rng(seed))
+                .graph
+                .to_csr();
+            let mut h = inet_exec::durable::Fnv64::default();
+            for name in ["random", "degree", "degree-recalc", "kcore", "kcore-recalc"] {
+                let order = Strategy::parse(name).unwrap().removal_order(&g, seed, 0);
+                for v in order {
+                    h.write_u64(u64::from(v));
+                }
+            }
+            h.finish()
+        };
+        let ba = BarabasiAlbert::new(2000, 2);
+        let got = [
+            digest(&ba, 1),
+            digest(&ba, 2),
+            digest(&ba, 3),
+            digest(&Pfp::internet(2000), 1),
+            digest(&SerranoModel::new(SerranoParams::small(2000)), 1),
+        ];
+        let want: [u64; 5] = [
+            0xa241_d1b3_4929_d24d,
+            0x9ce5_710e_6093_5565,
+            0xc182_0088_1e10_65c9,
+            0x1353_cabf_6fc2_28c1,
+            0x66e4_1106_96d6_dc79,
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
     }
 
     #[test]

@@ -245,8 +245,8 @@ pub fn run_sweep(g: &Csr, cfg: &SweepConfig) -> Result<SweepResult, SweepError> 
         .collect();
     let resumed = total - pending.len();
     // Longest first: a deterministic strategy's single cell (a recalc order
-    // re-scores the graph 64 times) is handed out before the stochastic
-    // replicas, so it overlaps them instead of running alone at the end.
+    // costs several replicas) is handed out before the stochastic replicas,
+    // so it overlaps them instead of running alone at the end.
     // Seeds, failpoints and the test hook key on the canonical index, and
     // results are gathered in canonical order, so nothing else changes.
     pending.sort_by_key(|c| c.strategy.stochastic());
