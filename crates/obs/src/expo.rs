@@ -3,9 +3,10 @@
 //! The serve daemon answers a `metrics` request with
 //! [`render_prometheus`] output (its own registry concatenated with the
 //! process default), and [`validate_prometheus`] is the small checker the
-//! CI smoke job and the unit tests run over scraped text: every sample
-//! line must parse, histogram buckets must be cumulative and end at
-//! `+Inf`, and `_count` must match the `+Inf` bucket.
+//! unit tests and the daemon round trip of `tests/service.rs` run over
+//! scraped text: every sample line must parse, histogram buckets must be
+//! cumulative and end at `+Inf`, and `_count` must match the `+Inf`
+//! bucket.
 
 use crate::registry::{Metric, MetricKey, Registry, HISTOGRAM_BUCKETS};
 

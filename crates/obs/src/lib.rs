@@ -16,7 +16,7 @@
 //!   [`span::capture`] extracts one subtree — the pipeline appends it to
 //!   the run's `telemetry.log`, one record per span.
 //! * [`expo`] — Prometheus text exposition plus a flat-JSON form, and a
-//!   small format checker the CI smoke job leans on.
+//!   small format checker the daemon's end-to-end test leans on.
 //!
 //! ## Telemetry is inert — provably
 //!

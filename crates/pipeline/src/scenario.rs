@@ -30,8 +30,8 @@
 //! [measure]                              # optional stage
 //! metrics = ["degree", "giant"]          # optional; default = all kernels
 //! deadline_ms = 30000                    # optional soft deadline
-//! path_sources = 400                     # optional sampling knobs
-//! betweenness_sources = 200
+//! path_sources = 400                     # optional sampling knobs; >= 1
+//! betweenness_sources = 200              # 0 = skip betweenness
 //!
 //! [attack]                               # optional stage
 //! strategies = ["random", "degree"]      # optional; this is the default
@@ -405,6 +405,12 @@ fn parse_measure(table: &Table) -> Result<MeasureSpec, PipelineError> {
     }
     spec.deadline_ms = get_usize("[measure]", table, "deadline_ms")?.map(|v| v as u64);
     if let Some(v) = get_usize("[measure]", table, "path_sources")? {
+        if v == 0 {
+            return Err(bad(
+                "[measure] path_sources: must be at least 1; to skip path statistics, \
+                 leave \"paths+betweenness\" out of metrics = [...]",
+            ));
+        }
         spec.path_sources = v;
     }
     if let Some(v) = get_usize("[measure]", table, "betweenness_sources")? {
@@ -785,6 +791,20 @@ mod tests {
             assert_eq!(e.exit_code(), 2, "{doc}");
             assert!(e.message().contains(needle), "{doc}: {e}");
         }
+    }
+
+    #[test]
+    fn zero_path_sources_is_refused_and_zero_betweenness_sources_skips() {
+        let doc = "[generator]\nmodel = \"pfp\"\n[measure]\npath_sources = 400";
+        let e = Scenario::parse_with_overrides(doc, &["measure.path_sources=0"]).unwrap_err();
+        assert_eq!(e.exit_code(), 2, "{e}");
+        let message = e.message();
+        assert!(message.contains("[measure] path_sources"), "{message}");
+        assert!(message.contains("metrics = ["), "{message}");
+        assert_eq!(message.lines().count(), 1, "{message}");
+        let scenario =
+            Scenario::parse_with_overrides(doc, &["measure.betweenness_sources=0"]).unwrap();
+        assert_eq!(scenario.measure.unwrap().betweenness_sources, 0);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Integration suite for the `inet serve` daemon: protocol robustness
 //! (oversized requests, stalled clients, malformed JSON), per-job
 //! deadlines, crash recovery of interrupted jobs, request latency, drains
-//! by real SIGTERM and SIGINT, and the headline chaos scenario — SIGKILL
+//! by real SIGTERM and SIGINT, the `inet submit` / `inet job` round trip
+//! against a one-shot run, and the headline chaos scenario — SIGKILL
 //! the daemon binary mid-job and prove the restarted daemon resumes the
 //! accepted job to output identical to a clean run.
 
+use inet_suite::inet_model::obs::validate_prometheus;
 use inet_suite::inet_model::pipeline::service::{
     self, encode_cmd, encode_submit, Service, ServiceConfig,
 };
@@ -196,17 +198,19 @@ fn per_job_deadline_cancels_the_job_and_reports_deadline_status() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Spawns the real `inet` binary as a daemon and returns (child, addr).
-fn spawn_daemon(runs: &Path, stderr: Stdio) -> (std::process::Child, String) {
+/// Spawns the real `inet` binary as a daemon with `workers` workers, in
+/// the directory that holds `runs`, and returns (child, addr).
+fn spawn_daemon(runs: &Path, workers: &str, stderr: Stdio) -> (std::process::Child, String) {
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_inet"))
         .args([
             "serve",
             "127.0.0.1:0",
             "--workers",
-            "1",
+            workers,
             "--runs-dir",
             runs.to_str().unwrap(),
         ])
+        .current_dir(runs.parent().unwrap())
         .stdout(Stdio::piped())
         .stderr(stderr)
         .spawn()
@@ -231,7 +235,7 @@ fn spawn_daemon(runs: &Path, stderr: Stdio) -> (std::process::Child, String) {
 fn sigkill_mid_job_restarted_daemon_resumes_to_identical_output() {
     let dir = temp_dir("sigkill");
     let runs = dir.join("runs");
-    let (mut child, addr) = spawn_daemon(&runs, Stdio::null());
+    let (mut child, addr) = spawn_daemon(&runs, "1", Stdio::null());
     let resp =
         service::request(&addr, &encode_submit(SLOW, "slow.toml", &[], None), 5_000).unwrap();
     assert_eq!(
@@ -255,7 +259,7 @@ fn sigkill_mid_job_restarted_daemon_resumes_to_identical_output() {
     child.wait().unwrap();
     // The restarted daemon must rediscover the accepted job from its
     // journal and resume it cell-granularly to completion.
-    let (mut child, addr) = spawn_daemon(&runs, Stdio::null());
+    let (mut child, addr) = spawn_daemon(&runs, "1", Stdio::null());
     let terminal = poll_terminal(&addr, &id, Duration::from_secs(120));
     assert_eq!(
         service::response_field(&terminal, "status").as_deref(),
@@ -281,26 +285,20 @@ fn sigkill_mid_job_restarted_daemon_resumes_to_identical_output() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Sends `signal` to an idle `inet serve` process with the real `kill`
-/// command and requires a clean drain: exit 0 within 5 s, with the drain
-/// reported on stderr.
+/// Sends `signal` to `child` with the real `kill` command and waits for
+/// it to exit; a child still running 5 s later is killed and the test
+/// fails.
 #[cfg(unix)]
-fn signal_drains_an_idle_daemon(signal: &str) {
-    let dir = temp_dir(&format!("signal_{}", signal.trim_start_matches('-')));
-    let log = dir.join("serve.err");
-    let (mut child, _addr) = spawn_daemon(
-        &dir.join("runs"),
-        std::fs::File::create(&log).unwrap().into(),
-    );
+fn signal_and_wait(child: &mut std::process::Child, signal: &str) -> std::process::ExitStatus {
     let sent = std::process::Command::new("kill")
         .args([signal, &child.id().to_string()])
         .status()
         .unwrap();
     assert!(sent.success(), "kill {signal} failed: {sent}");
     let deadline = Instant::now() + Duration::from_secs(5);
-    let status = loop {
+    loop {
         if let Some(status) = child.try_wait().unwrap() {
-            break status;
+            return status;
         }
         if Instant::now() >= deadline {
             let _ = child.kill();
@@ -308,7 +306,21 @@ fn signal_drains_an_idle_daemon(signal: &str) {
             panic!("daemon still running 5 s after kill {signal}");
         }
         std::thread::sleep(Duration::from_millis(10));
-    };
+    }
+}
+
+/// Sends `signal` to an idle `inet serve` process and requires a clean
+/// drain: exit 0 within 5 s, with the drain reported on stderr.
+#[cfg(unix)]
+fn signal_drains_an_idle_daemon(signal: &str) {
+    let dir = temp_dir(&format!("signal_{}", signal.trim_start_matches('-')));
+    let log = dir.join("serve.err");
+    let (mut child, _addr) = spawn_daemon(
+        &dir.join("runs"),
+        "1",
+        std::fs::File::create(&log).unwrap().into(),
+    );
+    let status = signal_and_wait(&mut child, signal);
     let stderr = std::fs::read_to_string(&log).unwrap();
     assert!(
         status.success(),
@@ -355,5 +367,96 @@ fn stats_round_trip_median_is_under_5_ms() {
     );
     drain(&addr);
     handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `inet <args>` in `dir`, requires exit 0, and returns its stdout.
+fn inet(dir: &Path, args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_inet"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "inet {}: {}\n{}",
+        args.join(" "),
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// The client commands against a live two-worker daemon, end to end:
+/// `inet submit` the demo scenario, scrape `inet job metrics` (each scrape
+/// must pass `validate_prometheus`), poll `inet job status` until the job
+/// is done, and require `inet job result` to be byte-identical to a
+/// one-shot `inet run` of the same file. SIGTERM then drains the daemon to
+/// exit 0 within 5 s.
+#[cfg(unix)]
+#[test]
+fn cli_submit_result_is_byte_identical_to_a_one_shot_run() {
+    let dir = temp_dir("cli_round_trip");
+    let log = dir.join("serve.err");
+    let (mut child, addr) = spawn_daemon(
+        &dir.join("runs"),
+        "2",
+        std::fs::File::create(&log).unwrap().into(),
+    );
+    let demo = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/serve_demo.toml");
+    let client = |args: &[&str]| inet(&dir, &[args, &["--addr", &addr]].concat());
+    let has_line = |text: &str, prefix: &str| text.lines().any(|l| l.starts_with(prefix));
+
+    let id = client(&["submit", demo]).trim().to_string();
+    assert!(!id.is_empty(), "submit printed no job id");
+    let metrics = client(&["job", "metrics"]);
+    validate_prometheus(&metrics).unwrap();
+    assert!(
+        has_line(&metrics, "# TYPE inet_jobs_accepted_total counter"),
+        "{metrics}"
+    );
+    assert!(
+        has_line(&metrics, "inet_jobs_accepted_total 1"),
+        "{metrics}"
+    );
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let status = client(&["job", "status", &id]);
+        if status.contains(r#""status":"done""#) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "job {id} not done: {status}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    // After completion the exposition also carries the executor's
+    // task-latency histogram and the job timing histograms.
+    let metrics = client(&["job", "metrics"]);
+    validate_prometheus(&metrics).unwrap();
+    assert!(
+        has_line(&metrics, "# TYPE inet_task_latency_us histogram"),
+        "{metrics}"
+    );
+    assert!(metrics.contains("inet_task_latency_us_bucket"), "{metrics}");
+    assert!(
+        has_line(&metrics, "inet_jobs_completed_total 1"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("inet_job_queue_wait_ms_bucket"),
+        "{metrics}"
+    );
+
+    let served = client(&["job", "result", &id]);
+    let oneshot_dir = dir.join("oneshot");
+    std::fs::create_dir(&oneshot_dir).unwrap();
+    let oneshot = inet(&oneshot_dir, &["run", demo]);
+    assert_eq!(served, oneshot, "served result differs from a one-shot run");
+
+    let status = signal_and_wait(&mut child, "-TERM");
+    let stderr = std::fs::read_to_string(&log).unwrap();
+    assert!(
+        status.success(),
+        "kill -TERM: exit {status}; stderr:\n{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
