@@ -12,6 +12,11 @@
 //! missing weight field means weight 1. This matches the format used by the
 //! classic topology-analysis toolchains, so generated maps can be fed to
 //! external software and vice versa.
+//!
+//! The module also holds the workspace's one decimal writer,
+//! [`put_decimal`], and the stack text buffer [`Row`] that the edge list,
+//! the curve CSVs and the sweep checkpoint's records are printed through:
+//! the writer prints exactly the digits `{}` prints, without `core::fmt`.
 
 use crate::{GraphError, MultiGraph, NodeId, Result};
 use std::io::{BufRead, Write};
@@ -24,8 +29,132 @@ use std::io::{BufRead, Write};
 /// Internet.
 pub const MAX_NODES: usize = 50_000_000;
 
+/// Decimal digits of `u64::MAX`: the longest text [`put_decimal`] writes.
+pub const MAX_DECIMAL_DIGITS: usize = 20;
+
+/// `{:02}` of every `k < 100`.
+const DIGIT_PAIRS: [[u8; 2]; 100] = {
+    let mut pairs = [[0; 2]; 100];
+    let mut k = 0;
+    while k < 100 {
+        pairs[k] = [b'0' + (k / 10) as u8, b'0' + (k % 10) as u8];
+        k += 1;
+    }
+    pairs
+};
+
+/// Writes `n` in decimal, exactly as `{}` prints it, to the start of `out`
+/// and returns how many bytes it wrote.
+///
+/// # Panics
+/// When `out` is shorter than the digits of `n`.
+#[inline]
+pub fn put_decimal(out: &mut [u8], n: u64) -> usize {
+    // Most numbers printed are counts below 10^4: straight-line stores.
+    if n < 100 {
+        if n < 10 {
+            out[0] = b'0' + n as u8;
+            return 1;
+        }
+        out[..2].copy_from_slice(&DIGIT_PAIRS[n as usize]);
+        return 2;
+    }
+    if n < 10_000 {
+        let (high, low) = ((n / 100) as usize, &DIGIT_PAIRS[(n % 100) as usize]);
+        if n < 1000 {
+            out[0] = b'0' + high as u8;
+            out[1..3].copy_from_slice(low);
+            return 3;
+        }
+        out[..2].copy_from_slice(&DIGIT_PAIRS[high]);
+        out[2..4].copy_from_slice(low);
+        return 4;
+    }
+    let len = n.ilog10() as usize + 1;
+    put_digits(&mut out[..len], n);
+    len
+}
+
+/// Fills `out` with the last `out.len()` decimal digits of `n`, padded
+/// with zeros on the left: for `n < 10^w`, `w = out.len()`, exactly what
+/// `{:0w$}` prints. Two digits per table lookup.
+#[inline]
+pub fn put_digits(out: &mut [u8], mut n: u64) {
+    let mut end = out.len();
+    while end >= 2 {
+        end -= 2;
+        out[end..end + 2].copy_from_slice(&DIGIT_PAIRS[(n % 100) as usize]);
+        n /= 100;
+    }
+    if end == 1 {
+        out[0] = b'0' + (n % 10) as u8;
+    }
+}
+
+/// Text assembled on the stack, one line or a few kilobytes of lines, so
+/// that a writer appends it to its destination in one copy instead of one
+/// call per field. Reuse one `Row` with [`Row::clear`]; its `N` bytes are
+/// zeroed once.
+///
+/// The pushes panic when the text outgrows `N` bytes: check
+/// [`Row::spare`] before a line, against the longest line the caller
+/// prints.
+#[derive(Clone, Debug)]
+pub struct Row<const N: usize> {
+    bytes: [u8; N],
+    len: usize,
+}
+
+impl<const N: usize> Default for Row<N> {
+    fn default() -> Self {
+        Row {
+            bytes: [0; N],
+            len: 0,
+        }
+    }
+}
+
+impl<const N: usize> Row<N> {
+    /// Appends `n` in decimal, exactly as `{}` prints it.
+    pub fn decimal(&mut self, n: u64) -> &mut Self {
+        self.len += put_decimal(&mut self.bytes[self.len..], n);
+        self
+    }
+
+    /// Appends one byte.
+    pub fn byte(&mut self, byte: u8) -> &mut Self {
+        self.bytes[self.len] = byte;
+        self.len += 1;
+        self
+    }
+
+    /// Appends `bytes`.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+        self
+    }
+
+    /// How many more bytes fit.
+    pub fn spare(&self) -> usize {
+        N - self.len
+    }
+
+    /// Empties the line.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// The line so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
 /// Writes `g` as a weighted edge list (one `u v w` line per distinct edge).
 pub fn write_edge_list<W: Write>(g: &MultiGraph, mut out: W) -> Result<()> {
+    /// The longest `u v w` line.
+    const LINE: usize = 3 * (MAX_DECIMAL_DIGITS + 1);
     inet_fault::check_contained("io.write", 0).map_err(|e| GraphError::Io(e.to_string()))?;
     writeln!(
         out,
@@ -34,9 +163,22 @@ pub fn write_edge_list<W: Write>(g: &MultiGraph, mut out: W) -> Result<()> {
         g.edge_count(),
         g.total_weight()
     )?;
+    // Lines gather on the stack and reach `out` a few kilobytes at a time.
+    let mut lines = Row::<4096>::default();
     for (u, v, w) in g.edges() {
-        writeln!(out, "{} {} {}", u.index(), v.index(), w)?;
+        if lines.spare() < LINE {
+            out.write_all(lines.as_bytes())?;
+            lines.clear();
+        }
+        lines
+            .decimal(u.index() as u64)
+            .byte(b' ')
+            .decimal(v.index() as u64)
+            .byte(b' ')
+            .decimal(w)
+            .byte(b'\n');
     }
+    out.write_all(lines.as_bytes())?;
     Ok(())
 }
 
@@ -154,6 +296,120 @@ mod tests {
         g.add_edge(n(1), n(2)).unwrap();
         g.add_edge(n(2), n(3)).unwrap();
         g
+    }
+
+    #[test]
+    fn decimal_writer_matches_display() {
+        let mut digits = [0; MAX_DECIMAL_DIGITS];
+        let mut check = |n: u64| {
+            let len = put_decimal(&mut digits, n);
+            assert_eq!(&digits[..len], n.to_string().as_bytes());
+        };
+        for n in [0, 1, 9, 10, 99, 100, 12_345, u64::MAX / 10, u64::MAX] {
+            check(n);
+        }
+        for digits in 1..=MAX_DECIMAL_DIGITS as u32 {
+            let low = 10u64.pow(digits - 1);
+            let high = 10u64.checked_pow(digits).map_or(u64::MAX, |p| p - 1);
+            for n in [low, low + 1, high - 1, high, low / 2 + high / 2] {
+                check(n);
+            }
+        }
+    }
+
+    #[test]
+    fn padded_digits_match_display() {
+        for (n, width) in [(0, 1), (7, 3), (123, 3), (12_345_678, 8), (1, 17)] {
+            let mut out = vec![b'x'; width];
+            put_digits(&mut out, n);
+            assert_eq!(out, format!("{n:0width$}").as_bytes());
+        }
+        for width in 0..=MAX_DECIMAL_DIGITS {
+            for n in [u64::MAX, 10u64.pow(width.min(19) as u32) - 1] {
+                let mut out = vec![b'x'; width];
+                put_digits(&mut out, n);
+                let text = format!("{n:020}");
+                assert_eq!(
+                    out,
+                    &text.as_bytes()[MAX_DECIMAL_DIGITS - width..],
+                    "{n} {width}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rows_assemble_their_pieces_in_order() {
+        let mut row = Row::<24>::default();
+        row.decimal(u64::MAX).byte(b',');
+        assert_eq!(row.spare(), 3);
+        row.bytes(b"ab");
+        assert_eq!(row.as_bytes(), b"18446744073709551615,ab");
+        row.clear();
+        row.bytes(b"x").decimal(0);
+        assert_eq!(row.as_bytes(), b"x0");
+    }
+
+    /// `write_edge_list` as it was written with one `writeln!` per edge,
+    /// kept as the byte-identity oracle.
+    fn edge_list_oracle(g: &MultiGraph) -> Vec<u8> {
+        let mut out = Vec::new();
+        writeln!(
+            out,
+            "# nodes {} edges {} weight {}",
+            g.node_count(),
+            g.edge_count(),
+            g.total_weight()
+        )
+        .unwrap();
+        for (u, v, w) in g.edges() {
+            writeln!(out, "{} {} {}", u.index(), v.index(), w).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn edge_list_matches_the_writeln_oracle_on_random_multigraphs() {
+        inet_stats::rng::check(200, |rng| {
+            let nodes = match rng.gen_range(0..4usize) {
+                0 => rng.gen_range(0..3usize),
+                1 => rng.gen_range(2..30usize),
+                _ => rng.gen_range(2..3000usize),
+            };
+            let mut g = MultiGraph::new();
+            g.add_nodes(nodes);
+            if nodes >= 2 {
+                // Weights below 2^47 over at most 12 000 draws: no overflow.
+                for _ in 0..rng.gen_range(0..4 * nodes) {
+                    let u = rng.gen_range(0..nodes);
+                    let v = rng.gen_range(0..nodes);
+                    let w = match rng.gen_range(0..3usize) {
+                        0 => 1,
+                        1 => rng.gen_range(2..1000u64),
+                        _ => rng.next_u64() >> 17,
+                    };
+                    if u != v {
+                        g.add_edge_weighted(NodeId::new(u), NodeId::new(v), w)
+                            .unwrap();
+                    }
+                }
+            }
+            let mut out = Vec::new();
+            write_edge_list(&g, &mut out).unwrap();
+            assert_eq!(out, edge_list_oracle(&g));
+        });
+        // A weight near `u64::MAX`, and many 4 KiB writes.
+        let mut g = MultiGraph::new();
+        g.add_nodes(6000);
+        g.add_edge_weighted(NodeId::new(0), NodeId::new(5999), u64::MAX - 6000)
+            .unwrap();
+        for u in 1..6000 {
+            g.add_edge(NodeId::new(u - 1), NodeId::new(u)).unwrap();
+        }
+        let mut out = Vec::new();
+        write_edge_list(&g, &mut out).unwrap();
+        assert!(out.len() > 16 << 10);
+        assert_eq!(out, edge_list_oracle(&g));
     }
 
     #[test]

@@ -51,14 +51,15 @@ pub fn resumed_line(result: &SweepResult, checkpoint: Option<&Path>) -> Option<S
 
 /// One attack curve as CSV, with the legacy header.
 pub fn curve_csv(curve: &AttackCurve) -> String {
-    let mut csv = String::new();
+    let mut csv = Vec::new();
     push_curve_csv(&mut csv, curve);
-    csv
+    // The encoder writes ASCII only.
+    String::from_utf8(csv).unwrap_or_default()
 }
 
 /// Appends `curve` to `out` as [`curve_csv`] renders it.
-fn push_curve_csv(out: &mut String, curve: &AttackCurve) {
-    out.push_str("removed,giant,edges,mean_component\n");
+fn push_curve_csv(out: &mut Vec<u8>, curve: &AttackCurve) {
+    out.extend_from_slice(b"removed,giant,edges,mean_component\n");
     write_points(out, &curve.points);
 }
 
@@ -72,13 +73,13 @@ pub fn write_curves(dir: &Path, result: &SweepResult, threads: usize) -> Result<
     Executor::new(threads).fold_ordered(
         result.cells.len(),
         Ok(()),
-        String::new,
+        Vec::new,
         |csv, range| {
             result.cells[range].iter().try_for_each(|cell| {
                 let path = dir.join(format!("{}-r{}.csv", cell.strategy, cell.replica));
                 csv.clear();
                 push_curve_csv(csv, &cell.curve);
-                std::fs::write(&path, csv.as_bytes())
+                std::fs::write(&path, &csv)
                     .map_err(|e| PipelineError::Data(format!("curves: {}: {e}", path.display())))
             })
         },

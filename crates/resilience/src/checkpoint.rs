@@ -61,15 +61,14 @@
 //! (one whole JSON document, rewritten after every cell) and version 2
 //! (the same log with `{:?}`-printed curves). Delete them to start over.
 
-use crate::encode::push_decimal;
 use crate::percolation::{AttackCurve, CurvePoint};
 /// Re-exported from [`inet_exec::durable`], where the checksum lives.
 pub use inet_exec::durable::fnv64;
-use inet_exec::durable::{self, escape, parse_hex, seal, unescape, Fnv64};
+use inet_exec::durable::{self, escape, parse_hex, seal, unescape, Fnv64, RecordWriter};
 pub use inet_exec::{RetryExhausted, RetryPolicy};
+use inet_graph::io::{Row, MAX_DECIMAL_DIGITS};
 use inet_graph::Csr;
 use std::fmt;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Format version written by this build; files of other versions are
@@ -207,9 +206,7 @@ impl CellRecord {
     /// This cell as one checksummed log record, newline included.
     pub fn log_line(&self) -> String {
         let c = &self.curve;
-        let mut body = String::with_capacity(96 + 16 * c.points.len());
-        let _ = write!(
-            body,
+        let head = format!(
             "cell\t{}\t{}\t{}\t{}\t{}\t{:x}\t",
             escape(&self.strategy),
             self.replica,
@@ -218,60 +215,68 @@ impl CellRecord {
             c.edges,
             c.critical_fraction.to_bits(),
         );
-        write_curve(&mut body, c);
-        seal(body)
+        let mut record = RecordWriter::with_capacity(head.len() + 16 * c.points.len() + 18);
+        record.push(head.as_bytes());
+        write_curve(c, |piece| record.push(piece));
+        record.seal()
     }
 }
 
-/// Appends `curve`'s points in the version-3 layout (see the module doc).
-fn write_curve(out: &mut String, curve: &AttackCurve) {
+/// Hands `curve`'s points in the version-3 layout (see the module doc) to
+/// `push`, one stack row per point.
+fn write_curve(curve: &AttackCurve, mut push: impl FnMut(&[u8])) {
+    let mut row = Row::<{ 1 + 3 * (2 + MAX_DECIMAL_DIGITS) + 16 }>::default();
     let (mut removed, mut giant, mut edges, mut bits) = (0, curve.nodes, curve.edges, 0);
     for (j, p) in curve.points.iter().enumerate() {
+        row.clear();
         if j > 0 {
-            out.push(' ');
+            row.byte(b' ');
         }
-        push_delta(out, removed, p.removed);
-        out.push(',');
-        push_delta(out, giant, p.giant);
-        out.push(',');
-        push_delta(out, edges, p.edges);
+        push_delta(&mut row, removed, p.removed);
+        row.byte(b',');
+        push_delta(&mut row, giant, p.giant);
+        row.byte(b',');
+        push_delta(&mut row, edges, p.edges);
         (removed, giant, edges) = (p.removed, p.giant, p.edges);
         let next = p.mean_component.to_bits();
         if next != bits {
             bits = next;
-            out.push(',');
-            push_hex(out, bits);
+            push_hex(row.byte(b','), bits);
         }
+        push(row.as_bytes());
     }
 }
 
-/// Appends `n` in lowercase hex, exactly as `{:x}` prints it.
-fn push_hex(out: &mut String, mut n: u64) {
-    let mut buf = [0u8; 16];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b"0123456789abcdef"[(n & 0xf) as usize];
-        n >>= 4;
-        if n == 0 {
-            break;
-        }
+/// `{:02x}` of every byte.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let mut pairs = [[0; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        pairs[b] = [b"0123456789abcdef"[b >> 4], b"0123456789abcdef"[b & 0xf]];
+        b += 1;
     }
-    // Only ASCII digits were written, so the conversion cannot fail.
-    out.push_str(std::str::from_utf8(&buf[at..]).unwrap_or_default());
+    pairs
+};
+
+/// Appends `n` in lowercase hex, exactly as `{:x}` prints it; two digits
+/// per table lookup.
+fn push_hex<const N: usize>(row: &mut Row<N>, n: u64) {
+    let mut text = [0; 16];
+    for (digits, byte) in text.chunks_exact_mut(2).zip(n.to_be_bytes()) {
+        digits.copy_from_slice(&HEX_PAIRS[usize::from(byte)]);
+    }
+    // Every `⟨s⟩ ≥ 1` has all 16 digits.
+    let len = (n | 1).ilog2() as usize / 4 + 1;
+    row.bytes(&text[16 - len..]);
 }
 
 /// Appends `to - from` (wrapping, read as signed) in decimal.
-fn push_delta(out: &mut String, from: usize, to: usize) {
+fn push_delta<const N: usize>(row: &mut Row<N>, from: usize, to: usize) {
     let delta = to.wrapping_sub(from) as isize;
     if delta < 0 {
-        out.push('-');
+        row.byte(b'-');
     }
-    match delta.unsigned_abs() {
-        // Most steps move a count by one digit's worth.
-        d @ 0..=9 => out.push(char::from(b'0' + d as u8)),
-        d => push_decimal(out, d),
-    }
+    row.decimal(delta.unsigned_abs() as u64);
 }
 
 /// Inverse of [`write_curve`]: the points of a curve with `nodes` nodes and
@@ -669,6 +674,7 @@ fn parse_record(body: &str, ck: &mut Checkpoint) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write as _;
 
     fn sample_checkpoint() -> Checkpoint {
         let mut ck = Checkpoint::new(
@@ -897,9 +903,9 @@ mod tests {
             let mut field = if rng.gen_bool(0.5) {
                 let points = crate::encode::tests::random_points(rng);
                 let cell = random_cell(rng, points);
-                let mut out = String::new();
-                write_curve(&mut out, &cell.curve);
-                out
+                let mut out = Vec::new();
+                write_curve(&cell.curve, |piece| out.extend_from_slice(piece));
+                String::from_utf8(out).unwrap()
             } else {
                 (0..rng.gen_range(0..12usize))
                     .map(|_| pieces[rng.gen_range(0..pieces.len())])

@@ -26,7 +26,8 @@
 //!   so an interrupted sweep resumes instead of restarting.
 //!
 //! [`encode`] is the curve CSV encoder the pipeline writes curve files
-//! with; the checkpoint's records share its decimal writer.
+//! with, and its shortest-digits `⟨s⟩` formatter; the CSV rows and the
+//! checkpoint's records share `inet_graph::io`'s decimal writer.
 //!
 //! Everything is bit-identical for any thread count: cell seeds derive
 //! from the cell's position in the configuration, curves are integer

@@ -11,6 +11,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+mod common;
+use common::Reaped;
+
 /// The worker-thread counts every determinism check compares.
 const THREADS: [&str; 3] = ["1", "2", "7"];
 
@@ -203,11 +206,14 @@ fn sigint_resume_round_trip(tag: &str, sets: &str) {
     let serrano_attack = scenario("serrano_attack.toml");
     let log = dir.join("stderr.log");
     let first = format!("{sets} --threads 1 --runs-dir runs");
-    let mut child = inet_cmd(&dir, &run_args(&serrano_attack, &first))
-        .stdout(Stdio::null())
-        .stderr(std::fs::File::create(&log).unwrap())
-        .spawn()
-        .unwrap();
+    // Killed when dropped, so a failed assertion leaves no run behind.
+    let mut child = Reaped(
+        inet_cmd(&dir, &run_args(&serrano_attack, &first))
+            .stdout(Stdio::null())
+            .stderr(std::fs::File::create(&log).unwrap())
+            .spawn()
+            .unwrap(),
+    );
     let deadline = Instant::now() + Duration::from_secs(60);
     while checkpoint_records(&runs) < 2 {
         if let Some(status) = child.try_wait().unwrap() {

@@ -17,6 +17,9 @@ use std::path::{Path, PathBuf};
 use std::process::Stdio;
 use std::time::{Duration, Instant};
 
+mod common;
+use common::Reaped;
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("inet_serve_it_{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -199,22 +202,25 @@ fn per_job_deadline_cancels_the_job_and_reports_deadline_status() {
 }
 
 /// Spawns the real `inet` binary as a daemon with `workers` workers, in
-/// the directory that holds `runs`, and returns (child, addr).
-fn spawn_daemon(runs: &Path, workers: &str, stderr: Stdio) -> (std::process::Child, String) {
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_inet"))
-        .args([
-            "serve",
-            "127.0.0.1:0",
-            "--workers",
-            workers,
-            "--runs-dir",
-            runs.to_str().unwrap(),
-        ])
-        .current_dir(runs.parent().unwrap())
-        .stdout(Stdio::piped())
-        .stderr(stderr)
-        .spawn()
-        .unwrap();
+/// the directory that holds `runs`, and returns (child, addr). The child
+/// is killed when dropped, so a failing test leaves no daemon behind.
+fn spawn_daemon(runs: &Path, workers: &str, stderr: Stdio) -> (Reaped, String) {
+    let mut child = Reaped(
+        std::process::Command::new(env!("CARGO_BIN_EXE_inet"))
+            .args([
+                "serve",
+                "127.0.0.1:0",
+                "--workers",
+                workers,
+                "--runs-dir",
+                runs.to_str().unwrap(),
+            ])
+            .current_dir(runs.parent().unwrap())
+            .stdout(Stdio::piped())
+            .stderr(stderr)
+            .spawn()
+            .unwrap(),
+    );
     let mut line = String::new();
     BufReader::new(child.stdout.take().unwrap())
         .read_line(&mut line)
