@@ -94,11 +94,6 @@ impl ValidationReport {
         ValidationReport { outcomes, report }
     }
 
-    /// `true` when every check passed.
-    pub fn all_pass(&self) -> bool {
-        self.outcomes.iter().all(|o| o.pass)
-    }
-
     /// Number of passing checks.
     pub fn pass_count(&self) -> usize {
         self.outcomes.iter().filter(|o| o.pass).count()
@@ -159,7 +154,7 @@ mod tests {
         let (giant, _) = inet_graph::traversal::giant_component(&net.graph.to_csr());
         let v = ValidationReport::run(&giant, &AS_MAP_2001);
         assert!(
-            !v.all_pass(),
+            v.pass_count() < v.outcomes.len(),
             "an ER graph must not validate as the Internet"
         );
         // It should fail the heavy-tail check in particular.

@@ -6,9 +6,10 @@
 //! the same machinery: a panic fence, a deadline check, a retry loop, a
 //! thread pool. `inet-exec` owns that vocabulary in one place:
 //!
-//! * [`parallel`] — the deterministic work-stealing chunk pool (fixed chunk
-//!   grid, streaming in-order fold: bit-identical results for any thread
-//!   count, about `threads` partials alive at once);
+//! * [`parallel`] — the fixed chunk grid and the deterministic
+//!   work-stealing pool behind [`Executor`]'s fan-outs (streaming in-order
+//!   fold: bit-identical results for any thread count, about `threads`
+//!   partials alive at once);
 //! * [`cancel`] — cooperative [`CancelToken`] / [`Cancelled`] plumbing;
 //! * [`fence`] — [`PanicFence`], the single panic-containment choke point;
 //! * [`deadline`] — soft budgets ([`StopWatch`]) that annotate overruns and
@@ -17,6 +18,8 @@
 //!   SplitMix64 deterministic jitter, and its [`RetryExhausted`] error;
 //! * [`task`] — the [`Task`] / [`Executor`] API and [`run_fenced`], which
 //!   routes every fenced unit of work through the `exec.task` failpoint;
+//!   [`Executor::map_ordered`], [`Executor::fold_ordered`] and
+//!   [`Executor::try_map_ordered`] are the only fan-outs;
 //! * [`durable`] — the one durable-write path: FNV-1a 64 checksums, atomic
 //!   replace, synced appends, truncation and directory fsyncs, each step
 //!   behind the `durable.op` failpoint.

@@ -8,25 +8,25 @@
 //! **fixed chunk grid** that depends only on the item count, and worker
 //! threads claim chunks from a shared [`AtomicUsize`] cursor.
 //!
-//! Every fan-out is one streaming fold ([`fanout_reduce`]): each chunk's
-//! result is folded into an accumulator **in chunk order** as soon as it
-//! and every earlier chunk are done. A worker that finishes out of order
-//! parks its partial; whoever finishes the next chunk in order folds every
-//! ready one. Because the grid never changes with the thread count and the
+//! Every fan-out is one streaming fold ([`crate::Executor::fold_ordered`]):
+//! each chunk's result is folded into an accumulator **in chunk order** as
+//! soon as it and every earlier chunk are done. A worker that finishes out
+//! of order parks its partial; whoever finishes the next chunk in order
+//! folds every ready one. Because the grid never changes with the thread count and the
 //! fold order is the grid order, every output — including floating-point
 //! accumulations, whose value depends on summation order — is bit-identical
 //! for any `threads ≥ 1`. The single-thread path runs the same chunks in
 //! the same order inline, folding each before the next starts, so it
 //! produces the same bits with one partial alive. With more threads about
 //! `threads` partials are alive at once, and never more than the grid's
-//! chunk count. [`fanout_ordered`] is the fold that collects the partials
-//! into a `Vec`.
+//! chunk count. [`crate::Executor::map_ordered`] is the fold that collects
+//! the partials into a `Vec`.
 //!
 //! Worker panics are caught per chunk and re-raised on the calling thread
 //! with the failing item range in the message, instead of an anonymous
 //! "worker panicked".
 
-use crate::cancel::{CancelToken, Cancelled};
+use crate::cancel::CancelToken;
 use crate::fence::PanicFence;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -63,104 +63,6 @@ pub fn chunk_grid(len: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Runs `work` over every chunk of the fixed grid for `len` items, fanning
-/// chunks out across up to `threads` work-stealing workers, and returns the
-/// per-chunk results **in chunk order**.
-///
-/// Each worker builds one scratch value with `make_scratch` and reuses it
-/// for every chunk it claims, so expensive per-worker buffers (BFS queues,
-/// distance arrays) are allocated `O(threads)` times, not `O(chunks)`.
-///
-/// The chunk grid and the returned order depend only on `len`, never on
-/// `threads`, so callers that fold the returned partials in order get
-/// bit-identical results for any thread count. Callers that only fold
-/// should use [`fanout_reduce`], which holds about `threads` partials at
-/// once rather than one per chunk.
-///
-/// # Panics
-///
-/// If `work` panics, the panic is propagated on the calling thread with a
-/// message naming the item range that failed.
-pub fn fanout_ordered<S, T, FS, FW>(
-    len: usize,
-    threads: usize,
-    make_scratch: FS,
-    work: FW,
-) -> Vec<T>
-where
-    T: Send,
-    FS: Fn() -> S + Sync,
-    FW: Fn(&mut S, Range<usize>) -> T + Sync,
-{
-    fanout_reduce(len, threads, Vec::new(), make_scratch, work, Vec::push)
-}
-
-/// [`fanout_ordered`] with cooperative cancellation: workers poll `token`
-/// **before claiming each chunk** and stop claiming once it is cancelled,
-/// so cancel latency is bounded by one chunk of work.
-///
-/// Returns `Err(Cancelled)` if any chunk was left unprocessed because of
-/// the cancellation. If the token fires after every chunk has already been
-/// claimed, the complete, bit-identical result is returned as `Ok` — a
-/// finished computation is never discarded.
-pub fn try_fanout_ordered<S, T, FS, FW>(
-    len: usize,
-    threads: usize,
-    token: &CancelToken,
-    make_scratch: FS,
-    work: FW,
-) -> Result<Vec<T>, Cancelled>
-where
-    T: Send,
-    FS: Fn() -> S + Sync,
-    FW: Fn(&mut S, Range<usize>) -> T + Sync,
-{
-    let (parts, complete) = fold_impl(
-        len,
-        threads,
-        Some(token),
-        Vec::new(),
-        make_scratch,
-        work,
-        Vec::push,
-    );
-    complete.then_some(parts).ok_or(Cancelled)
-}
-
-/// Runs `work` over the fixed chunk grid for `len` items on up to
-/// `threads` work-stealing workers and folds each chunk's result into
-/// `init` with `fold`, **in chunk order**, as the chunks finish.
-///
-/// A worker that finishes a chunk out of order parks its partial; whoever
-/// finishes the next chunk in order folds every ready partial. The fold
-/// order — and so every float sum — is exactly the grid order for any
-/// `threads ≥ 1`, while only about `threads` partials are alive at once
-/// (never more than the grid's chunk count, even behind a straggler).
-/// With `len == 0` there are no chunks and `init` comes back unchanged.
-///
-/// # Panics
-///
-/// Like [`fanout_ordered`]: a panic in `work` is re-raised on the calling
-/// thread naming the earliest failing item range.
-pub fn fanout_reduce<S, T, A, FS, FW, FF>(
-    len: usize,
-    threads: usize,
-    init: A,
-    make_scratch: FS,
-    work: FW,
-    fold: FF,
-) -> A
-where
-    T: Send,
-    A: Send,
-    FS: Fn() -> S + Sync,
-    FW: Fn(&mut S, Range<usize>) -> T + Sync,
-    FF: FnMut(&mut A, T) + Send,
-{
-    // Without a token no worker stops early, so every chunk is folded.
-    fold_impl(len, threads, None, init, make_scratch, work, fold).0
-}
-
 /// The accumulator side of [`fold_impl`]: partials wait in `parked` until
 /// every earlier chunk has been folded. It sits behind the pool's one
 /// lock, so folds never overlap; a fold is one pass over a partial, short
@@ -184,10 +86,23 @@ impl<A, T, FF: FnMut(&mut A, T)> InOrder<A, T, FF> {
     }
 }
 
-/// Shared work-stealing core. Returns the accumulator and whether every
-/// chunk was folded; with `token: None` the claim loop never stops early,
-/// so it always is.
-fn fold_impl<S, T, A, FS, FW, FF>(
+/// The work-stealing pool behind every [`crate::Executor`] fan-out: runs
+/// `work` over the fixed chunk grid for `len` items on up to `threads`
+/// workers, each with one `make_scratch` value reused for every chunk it
+/// claims, and folds each chunk's result into `init` with `fold` **in
+/// chunk order**, as the chunks finish.
+///
+/// Returns the accumulator and whether every chunk was folded. Workers poll
+/// `token` before claiming each chunk and stop claiming once it is
+/// cancelled; with `token: None` the claim loop never stops early, so every
+/// chunk is folded. With `len == 0` there are no chunks and `init` comes
+/// back unchanged.
+///
+/// # Panics
+///
+/// A panic in `work` is re-raised on the calling thread naming the
+/// earliest failing item range.
+pub(crate) fn fold_impl<S, T, A, FS, FW, FF>(
     len: usize,
     threads: usize,
     token: Option<&CancelToken>,
@@ -304,6 +219,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Executor;
 
     #[test]
     fn grid_covers_range_without_overlap() {
@@ -335,9 +251,8 @@ mod tests {
             .map(|r| items[r].iter().sum())
             .collect();
         for threads in [1, 2, 3, 7, 16] {
-            let got = fanout_ordered(
+            let got = Executor::new(threads).map_ordered(
                 items.len(),
-                threads,
                 || 0u64,
                 |calls, r| {
                     *calls += 1;
@@ -353,7 +268,13 @@ mod tests {
         // Collect chunk start indices through the fold; order must be the
         // grid order regardless of thread count.
         for threads in [1, 4] {
-            let folded = fanout_reduce(300, threads, Vec::new(), || (), |_, r| r.start, Vec::push);
+            let folded = Executor::new(threads).fold_ordered(
+                300,
+                Vec::new(),
+                || (),
+                |_, r| r.start,
+                Vec::push,
+            );
             let expect: Vec<usize> = chunk_grid(300).into_iter().map(|r| r.start).collect();
             assert_eq!(folded, expect, "threads {threads}");
         }
@@ -361,10 +282,11 @@ mod tests {
 
     #[test]
     fn empty_input_yields_no_chunks() {
-        let got: Vec<u32> = fanout_ordered(0, 4, || (), |_, _| unreachable!());
+        let pool = Executor::new(4);
+        let got: Vec<u32> = pool.map_ordered(0, || (), |_, _| unreachable!());
         assert!(got.is_empty());
         assert_eq!(
-            fanout_reduce(0, 4, 5u32, || (), |_, _| 1u32, |a, b| *a += b),
+            pool.fold_ordered(0, 5u32, || (), |_, _| 1u32, |a, b| *a += b),
             5
         );
     }
@@ -373,9 +295,8 @@ mod tests {
     fn scratch_is_reused_within_a_worker() {
         // With 1 thread every chunk shares one scratch, so the counter sees
         // every chunk.
-        let counts = fanout_ordered(
+        let counts = Executor::new(1).map_ordered(
             640,
-            1,
             || 0usize,
             |seen, _| {
                 *seen += 1;
@@ -389,9 +310,8 @@ mod tests {
     fn worker_panic_names_the_failing_range() {
         for threads in [1, 3] {
             let result = catch_unwind(AssertUnwindSafe(|| {
-                fanout_ordered(
+                Executor::new(threads).map_ordered(
                     100,
-                    threads,
                     || (),
                     |_, r: Range<usize>| {
                         if r.contains(&42) {

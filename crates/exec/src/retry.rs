@@ -8,6 +8,7 @@
 //! every run.
 
 use crate::fence::PanicFence;
+use inet_stats::rng::{mix64, GOLDEN};
 
 /// Retry schedule for transient failures: capped exponential backoff with
 /// deterministic jitter (SplitMix64 of the attempt index).
@@ -51,7 +52,8 @@ impl RetryPolicy {
         let capped = exp.min(self.max_delay_ms);
         // Saturating: only reachable with caps near u64::MAX, where the
         // schedule pins to the cap instead of wrapping.
-        capped.saturating_add(splitmix64(attempt as u64 + 1) % (capped / 4 + 1))
+        let jitter = mix64((attempt as u64 + 1).wrapping_add(GOLDEN));
+        capped.saturating_add(jitter % (capped / 4 + 1))
     }
 
     /// Sleeps the backoff owed after failed attempt `attempt` (0-based).
@@ -120,15 +122,6 @@ impl std::fmt::Display for RetryExhausted {
 }
 
 impl std::error::Error for RetryExhausted {}
-
-/// SplitMix64 — the deterministic jitter source, local so the crate needs
-/// no `inet-stats`.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 #[cfg(test)]
 mod tests {

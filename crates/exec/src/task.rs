@@ -15,13 +15,13 @@
 //! `service.worker`) keep working — they run inside the closure the caller
 //! passes, so both old and new fault plans reach the same code.
 //!
-//! [`Executor`] bundles a thread count and a [`CancelToken`] with the fence,
-//! giving callers one handle for "run this batch deterministically, fenced,
-//! cancellable" — the pool underneath is [`crate::parallel`], unchanged.
+//! [`Executor`] bundles a thread count and a [`CancelToken`] over the
+//! deterministic work-stealing pool of [`crate::parallel`]; its fan-outs are
+//! the only way into that pool.
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::fence::PanicFence;
-use crate::parallel;
+use crate::parallel::fold_impl;
 use std::ops::Range;
 
 /// A named, scope-keyed unit of fenced work.
@@ -99,9 +99,9 @@ pub fn run_fenced<T>(task: &Task, f: impl FnOnce() -> T) -> Result<T, TaskError>
 /// A thread count and a [`CancelToken`] bundled over the deterministic
 /// work-stealing pool.
 ///
-/// The executor adds no scheduling of its own — results are bit-identical
-/// to calling [`crate::parallel`] directly, which is exactly the point: one
-/// handle, same grid, same merge order, any thread count.
+/// Every fan-out runs the fixed chunk grid of [`crate::parallel::chunk_grid`]
+/// and folds the chunks' results in grid order, so results are
+/// bit-identical at any thread count.
 #[derive(Debug, Clone, Default)]
 pub struct Executor {
     threads: usize,
@@ -123,41 +123,40 @@ impl Executor {
         Executor { threads, cancel }
     }
 
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The cancel token the pool polls.
-    pub fn cancel(&self) -> &CancelToken {
-        &self.cancel
-    }
-
-    /// [`run_fenced`] under this executor's identity — convenience so call
-    /// sites hold one handle.
-    pub fn run<T>(&self, task: &Task, f: impl FnOnce() -> T) -> Result<T, TaskError> {
-        run_fenced(task, f)
-    }
-
-    /// [`parallel::fanout_ordered`] with this executor's thread count.
+    /// Runs `work` over every chunk of the fixed grid for `len` items on up
+    /// to this executor's thread count of work-stealing workers, and returns
+    /// the per-chunk results **in chunk order**.
+    ///
+    /// Each worker builds one scratch value with `make_scratch` and reuses
+    /// it for every chunk it claims, so expensive per-worker buffers (BFS
+    /// queues, distance arrays) are allocated `O(threads)` times, not
+    /// `O(chunks)`. Callers that only fold should use
+    /// [`Executor::fold_ordered`], which holds about `threads` partials at
+    /// once rather than one per chunk.
+    ///
     /// Each fan-out records an `exec.fanout` span (scope = item count) and
     /// the `inet_exec_fanout_us` batch-wall-time histogram — one record
     /// per batch, never per item.
+    ///
+    /// # Panics
+    ///
+    /// If `work` panics, the panic is propagated on the calling thread with
+    /// a message naming the item range that failed.
     pub fn map_ordered<S, T, FS, FW>(&self, len: usize, make_scratch: FS, work: FW) -> Vec<T>
     where
         T: Send,
         FS: Fn() -> S + Sync,
         FW: Fn(&mut S, Range<usize>) -> T + Sync,
     {
-        traced_fanout(len, || {
-            parallel::fanout_ordered(len, self.threads, make_scratch, work)
-        })
+        self.fold_ordered(len, Vec::new(), make_scratch, work, Vec::push)
     }
 
-    /// [`parallel::fanout_reduce`] with this executor's thread count: the
-    /// streaming in-order fold, which holds about `threads` partials at
-    /// once instead of one per chunk. Records the same per-batch telemetry
-    /// as [`Executor::map_ordered`].
+    /// Runs `work` over the fixed chunk grid like [`Executor::map_ordered`]
+    /// and folds each chunk's result into `init` with `fold`, **in chunk
+    /// order**, as the chunks finish: the streaming in-order fold, which
+    /// holds about `threads` partials at once instead of one per chunk.
+    /// With `len == 0` `init` comes back unchanged. Records the same
+    /// per-batch telemetry as [`Executor::map_ordered`].
     pub fn fold_ordered<S, T, A, FS, FW, FF>(
         &self,
         len: usize,
@@ -173,14 +172,22 @@ impl Executor {
         FW: Fn(&mut S, Range<usize>) -> T + Sync,
         FF: FnMut(&mut A, T) + Send,
     {
+        // Without a token no worker stops early, so every chunk is folded.
         traced_fanout(len, || {
-            parallel::fanout_reduce(len, self.threads, init, make_scratch, work, fold)
+            fold_impl(len, self.threads, None, init, make_scratch, work, fold).0
         })
     }
 
-    /// [`parallel::try_fanout_ordered`] with this executor's thread count
-    /// and cancel token. Records the same per-batch telemetry as
-    /// [`Executor::map_ordered`].
+    /// [`Executor::map_ordered`] with cooperative cancellation: workers
+    /// poll this executor's cancel token **before claiming each chunk** and
+    /// stop claiming once it is cancelled, so cancel latency is bounded by
+    /// one chunk of work.
+    ///
+    /// Returns `Err(Cancelled)` if any chunk was left unprocessed because
+    /// of the cancellation. If the token fires after every chunk has
+    /// already been claimed, the complete, bit-identical result is returned
+    /// as `Ok` — a finished computation is never discarded. Records the same
+    /// per-batch telemetry as [`Executor::map_ordered`].
     pub fn try_map_ordered<S, T, FS, FW>(
         &self,
         len: usize,
@@ -193,7 +200,16 @@ impl Executor {
         FW: Fn(&mut S, Range<usize>) -> T + Sync,
     {
         traced_fanout(len, || {
-            parallel::try_fanout_ordered(len, self.threads, &self.cancel, make_scratch, work)
+            let (parts, complete) = fold_impl(
+                len,
+                self.threads,
+                Some(&self.cancel),
+                Vec::new(),
+                make_scratch,
+                work,
+                Vec::push,
+            );
+            complete.then_some(parts).ok_or(Cancelled)
         })
     }
 }
@@ -238,18 +254,17 @@ mod tests {
     #[test]
     fn executor_map_matches_direct_pool_calls() {
         let items: Vec<u64> = (0..500).map(|i| i * 3 % 31).collect();
-        let direct =
-            parallel::fanout_ordered(items.len(), 3, || (), |_, r| items[r].iter().sum::<u64>());
-        let exec = Executor::new(3);
-        let via = exec.map_ordered(items.len(), || (), |_, r| items[r].iter().sum::<u64>());
+        let sum = |_: &mut (), r: Range<usize>| items[r].iter().sum::<u64>();
+        let direct = fold_impl(items.len(), 3, None, Vec::new(), || (), sum, Vec::push).0;
+        let via = Executor::new(3).map_ordered(items.len(), || (), sum);
         assert_eq!(via, direct);
-        assert_eq!(exec.threads(), 3);
     }
 
     #[test]
     fn cancelled_executor_stops_the_pool() {
-        let exec = Executor::with_cancel(2, CancelToken::new());
-        exec.cancel().cancel();
+        let token = CancelToken::new();
+        let exec = Executor::with_cancel(2, token.clone());
+        token.cancel();
         let got = exec.try_map_ordered(100, || (), |_, _| 0u8);
         assert_eq!(got, Err(Cancelled));
     }

@@ -142,7 +142,7 @@ fn single_thread_fold_holds_at_most_one_partial() {
 }
 
 /// A panicking chunk re-raises on the caller naming the earliest failing
-/// range, with the same message `fanout_ordered` gives.
+/// range, with the same message `map_ordered` gives.
 #[test]
 fn fold_panic_names_the_earliest_failing_range() {
     let grid = inet_exec::parallel::chunk_grid(500);
@@ -170,9 +170,8 @@ fn fold_panic_names_the_earliest_failing_range() {
             );
         });
         let mapped = message(&|| {
-            inet_exec::parallel::fanout_ordered(
+            Executor::new(threads).map_ordered(
                 500,
-                threads,
                 || (),
                 |(), r| {
                     assert!(!fails(&r), "chunk failed");

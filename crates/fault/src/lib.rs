@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use inet_stats::rng::{mix64, GOLDEN};
 use std::fmt;
 
 /// Every failpoint name the toolkit registers, with the meaning of its
@@ -117,15 +118,6 @@ pub struct FaultPlan {
     pub specs: Vec<FaultSpec>,
 }
 
-/// SplitMix64 step — the crate depends on nothing, not even `inet-stats`.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultPlan {
     /// A plan with a single rule.
     pub fn single(failpoint: &'static str, scope: Option<u64>, action: FaultAction) -> Self {
@@ -143,20 +135,25 @@ impl FaultPlan {
     /// 1–3 rules over the [`CATALOG`], scope pinned to a small value,
     /// bounded hit counts. The same seed always yields the same plan.
     pub fn from_seed(seed: u64) -> Self {
+        // A SplitMix64 stream started at the whitened seed.
         let mut state = seed ^ 0x6a09_e667_f3bc_c909;
-        let count = 1 + (splitmix(&mut state) % 3) as usize;
+        let mut next = || {
+            state = state.wrapping_add(GOLDEN);
+            mix64(state)
+        };
+        let count = 1 + (next() % 3) as usize;
         let mut specs = Vec::with_capacity(count);
         for _ in 0..count {
-            let failpoint = CATALOG[(splitmix(&mut state) % CATALOG.len() as u64) as usize];
-            let action = match splitmix(&mut state) % 3 {
+            let failpoint = CATALOG[(next() % CATALOG.len() as u64) as usize];
+            let action = match next() % 3 {
                 0 => FaultAction::Error,
                 1 => FaultAction::Panic,
-                _ => FaultAction::Delay(1 + splitmix(&mut state) % 8),
+                _ => FaultAction::Delay(1 + next() % 8),
             };
             specs.push(FaultSpec {
                 failpoint,
-                scope: Some(splitmix(&mut state) % 4),
-                max_hits: 1 + splitmix(&mut state) % 2,
+                scope: Some(next() % 4),
+                max_hits: 1 + next() % 2,
                 action,
             });
         }

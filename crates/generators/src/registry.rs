@@ -263,14 +263,6 @@ impl ModelSpec {
             model: self.name,
         })
     }
-
-    /// Convenience: resolve defaults with only `n` overridden — the shape
-    /// of every historical CLI invocation.
-    pub fn resolve_n(&self, n: usize) -> Result<Params, ModelError> {
-        let mut overrides = BTreeMap::new();
-        overrides.insert("n".to_string(), ParamValue::Int(n as i64));
-        self.resolve(&overrides)
-    }
 }
 
 /// The full registry, in display order: the historical CLI model list.
@@ -376,7 +368,9 @@ mod tests {
     #[test]
     fn every_model_builds_and_generates_from_defaults() {
         for spec in registry() {
-            let params = spec.resolve_n(100).unwrap();
+            let params = spec
+                .resolve(&BTreeMap::from([("n".to_string(), ParamValue::Int(100))]))
+                .unwrap();
             let generator = (spec.build)(&params)
                 .unwrap_or_else(|e| panic!("{}: build failed: {e}", spec.name));
             generator
@@ -462,7 +456,9 @@ mod tests {
         let mut rng_a = seeded_rng(42);
         let legacy = crate::Glp::internet_2001(300).generate(&mut rng_a);
         let spec = lookup("glp").unwrap();
-        let params = spec.resolve_n(300).unwrap();
+        let params = spec
+            .resolve(&BTreeMap::from([("n".to_string(), ParamValue::Int(300))]))
+            .unwrap();
         let mut rng_b = seeded_rng(42);
         let from_registry = (spec.build)(&params).unwrap().generate(&mut rng_b);
         assert_eq!(legacy.graph, from_registry.graph);

@@ -35,38 +35,6 @@ pub fn powerlaw_degree_sequence(
     seq
 }
 
-/// Erdős–Gallai check: is the (descending-sorted copy of the) sequence
-/// realizable as a simple graph?
-pub fn is_graphical(seq: &[u64]) -> bool {
-    let mut d: Vec<u64> = seq.to_vec();
-    d.sort_unstable_by(|a, b| b.cmp(a));
-    let n = d.len() as u64;
-    if d.iter().any(|&x| x >= n) && n > 0 {
-        return false;
-    }
-    let total: u64 = d.iter().sum();
-    if total % 2 == 1 {
-        return false;
-    }
-    // Prefix sums for the Erdős–Gallai inequalities.
-    let mut prefix = Vec::with_capacity(d.len() + 1);
-    prefix.push(0u64);
-    for &x in &d {
-        prefix.push(prefix.last().expect("non-empty") + x);
-    }
-    for k in 1..=d.len() {
-        let lhs = prefix[k];
-        let mut rhs = (k * (k - 1)) as u64;
-        for &di in &d[k..] {
-            rhs += di.min(k as u64);
-        }
-        if lhs > rhs {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,24 +59,6 @@ mod tests {
         assert!(max > 100, "max degree {max} too small for a heavy tail");
         let ones = seq.iter().filter(|&&d| d == 1).count();
         assert!(ones > seq.len() / 3, "power law should be dominated by k=1");
-    }
-
-    #[test]
-    fn graphical_known_cases() {
-        assert!(is_graphical(&[2, 2, 2])); // triangle
-        assert!(is_graphical(&[3, 3, 3, 3])); // K4
-        assert!(is_graphical(&[1, 1]));
-        assert!(is_graphical(&[])); // vacuous
-        assert!(!is_graphical(&[1])); // odd sum
-        assert!(is_graphical(&[3, 1, 1, 1, 0, 0, 0, 0, 0, 2])); // star + pendant edge
-        assert!(!is_graphical(&[4, 1, 1])); // degree >= n
-        assert!(!is_graphical(&[3, 3, 1, 1])); // fails Erdos-Gallai at k=2
-    }
-
-    #[test]
-    fn star_sequences() {
-        assert!(is_graphical(&[4, 1, 1, 1, 1]));
-        assert!(!is_graphical(&[5, 1, 1, 1, 1]));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * **Reallocation** at rate `λ` moves users between ASs; under linear
 //!   preference its drift cancels exactly (Eq. 2 of the source text) and
 //!   only diffusion remains.
-//! * **Node birth** withdraws `ω₀` users per new node uniformly from the
-//!   existing population (i.e. proportionally to `ω_i`).
+//! * **Node birth** is funded by an equal-share [`UserPool::levy`] on the
+//!   existing nodes; each newborn takes `ω₀` of it
+//!   ([`UserPool::add_node_funded`]).
 
 use inet_stats::dist::standard_normal;
 use inet_stats::rng::StdRng;
@@ -139,10 +140,18 @@ impl UserPool {
         self.total = w;
     }
 
-    /// Charges an equal-share levy of `amount` users from the pool (clamped
-    /// at the reflecting boundary like [`UserPool::spawn_node`]) and returns
-    /// the amount actually collected. The pool total decreases by exactly
-    /// the returned value.
+    /// Charges a levy of `amount` users from the pool, capped at half of
+    /// the users above the reflecting boundary `ω = 1`, and returns the
+    /// amount actually collected. The pool total decreases by exactly the
+    /// returned value.
+    ///
+    /// The levy is an **equal share per node**, clamped at the boundary,
+    /// with any clamped shortfall taken proportionally from the nodes above
+    /// it. This realizes the constant `−βω₀` drift term of the source
+    /// text's Eq. (2): with a *proportional* withdrawal the early nodes
+    /// would grow at `α − β` instead of `α` and the size distribution's
+    /// heavy tail collapses — a subtle but order-of-magnitude modeling
+    /// difference.
     ///
     /// Used by the model driver to realize the continuum `−βω₀` withdrawal
     /// *smoothly*: the expected birth mass `ΔN·ω₀` is collected every
@@ -190,50 +199,6 @@ impl UserPool {
         self.total += omega;
         self.omega.len() - 1
     }
-
-    /// Withdraws `omega0` users from the population and hands them to a
-    /// newly created node.
-    ///
-    /// The withdrawal is an **equal share per existing node** (clamped at
-    /// the reflecting boundary `ω = ω₀`, with any clamped shortfall taken
-    /// proportionally from the nodes above it). This realizes the constant
-    /// `−βω₀` drift term of the source text's Eq. (2): with a
-    /// *proportional* withdrawal the early nodes would grow at `α − β`
-    /// instead of `α` and the size distribution's heavy tail collapses — a
-    /// subtle but order-of-magnitude modeling difference.
-    ///
-    /// Returns the index of the new node, or `None` when the pool cannot
-    /// spare `omega0` users (would drain it).
-    pub fn spawn_node(&mut self, omega0: f64) -> Option<usize> {
-        if self.total <= omega0 * 1.5 || self.omega.is_empty() {
-            return None;
-        }
-        let floor = omega0.min(self.total / (2.0 * self.omega.len() as f64));
-        let available: f64 = self.omega.iter().map(|&o| (o - floor).max(0.0)).sum();
-        if available <= omega0 {
-            return None;
-        }
-        let share = omega0 / self.omega.len() as f64;
-        let mut collected = 0.0;
-        for o in &mut self.omega {
-            let take = share.min((*o - floor).max(0.0));
-            *o -= take;
-            collected += take;
-        }
-        if collected < omega0 - 1e-9 {
-            // Shortfall from clamped nodes: take proportionally to the
-            // excess above the boundary.
-            let deficit = omega0 - collected;
-            let excess: f64 = self.omega.iter().map(|&o| (o - floor).max(0.0)).sum();
-            for o in &mut self.omega {
-                let frac = (*o - floor).max(0.0) / excess;
-                *o -= deficit * frac;
-            }
-        }
-        self.omega.push(omega0);
-        // Total is invariant: withdrawn users moved, not destroyed.
-        Some(self.omega.len() - 1)
-    }
 }
 
 #[cfg(test)]
@@ -254,7 +219,7 @@ mod tests {
         let mut rng = seeded_rng(1);
         let mut p = UserPool::new(2, 5000.0);
         // Make them unequal first.
-        p.spawn_node(5000.0); // withdraws from both
+        p.add_node_funded(1000.0);
         let before: Vec<f64> = p.as_slice().to_vec();
         let w0 = p.total();
         p.grow(1000.0, false, &mut rng);
@@ -307,10 +272,8 @@ mod tests {
         // Give the pool enough headroom above the boundary.
         let mut rng = seeded_rng(0);
         p.grow(8000.0, false, &mut rng); // both nodes now at 5000
-        let idx = p.spawn_node(1000.0).unwrap();
-        assert_eq!(idx, 2);
-        assert_eq!(p.len(), 3);
-        assert!((p.total() - 10_000.0).abs() < 1e-9, "total invariant");
+        assert_eq!(p.levy(1000.0), 1000.0);
+        assert!((p.total() - 9000.0).abs() < 1e-9);
         // Equal share: each of the two donors lost 500.
         assert!(
             (p.users(0) - 4500.0).abs() < 1e-9,
@@ -318,28 +281,41 @@ mod tests {
             p.users(0)
         );
         assert!((p.users(1) - 4500.0).abs() < 1e-9);
-        assert!((p.users(2) - 1000.0).abs() < 1e-9);
+        // The levied users fund the newborn.
+        assert_eq!(p.add_node_funded(1000.0), 2);
+        assert_eq!(p.len(), 3);
+        assert!((p.total() - 10_000.0).abs() < 1e-9);
+        assert_eq!(p.users(2), 1000.0);
     }
 
     #[test]
     fn spawn_clamps_at_boundary_and_shifts_burden() {
-        // One poor node at the boundary, one rich node: the rich node pays.
+        // One poor node half a user above the boundary, one rich node: the
+        // poor node gives its half user and the rich node pays the rest.
         let mut p = UserPool::new(1, 100.0);
         let mut rng = seeded_rng(0);
         p.grow(9900.0, false, &mut rng); // node 0 at 10_000
-        p.spawn_node(100.0).unwrap(); // node 1 at 100 (the boundary)
-        let rich_before = p.users(0);
-        p.spawn_node(100.0).unwrap();
-        // Node 1 sits at the floor: it must not be pushed below it.
-        assert!(p.users(1) >= 49.9, "poor node drained: {}", p.users(1));
-        assert!(p.users(0) < rich_before, "rich node must pay");
-        assert!((p.total() - 10_000.0).abs() < 1e-6);
+        p.add_node_funded(1.5);
+        let (rich_before, total_before) = (p.users(0), p.total());
+        let collected = p.levy(100.0);
+        assert_eq!(collected, 100.0);
+        assert_eq!(p.users(1), 1.0, "the poor node sits at the floor");
+        assert!((p.users(0) - (rich_before - 99.5)).abs() < 1e-9);
+        assert_eq!(p.total(), total_before - collected);
     }
 
     #[test]
     fn spawn_refuses_to_drain_pool() {
-        let mut p = UserPool::new(1, 5000.0);
-        assert!(p.spawn_node(5000.0).is_none());
-        assert_eq!(p.len(), 1);
+        // 20 users above the boundary: at most 10 are taken.
+        let mut p = UserPool::new(2, 11.0);
+        let collected = p.levy(1000.0);
+        assert_eq!(collected, 10.0);
+        assert_eq!(p.as_slice(), &[6.0, 6.0]);
+        assert_eq!(p.total(), 22.0 - collected);
+        // A pool at the boundary gives nothing.
+        let mut floor = UserPool::new(3, 1.0);
+        assert_eq!(floor.levy(5.0), 0.0);
+        assert_eq!(floor.total(), 3.0);
+        assert_eq!(floor.as_slice(), &[1.0; 3]);
     }
 }

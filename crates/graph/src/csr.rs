@@ -204,17 +204,6 @@ impl Csr {
         })
     }
 
-    /// Rebuilds a mutable [`MultiGraph`] with identical topology and weights.
-    pub fn to_multigraph(&self) -> MultiGraph {
-        let mut g = MultiGraph::with_capacity(self.node_count());
-        g.add_nodes(self.node_count());
-        for (u, v, w) in self.edges() {
-            g.add_edge_weighted(NodeId::new(u), NodeId::new(v), w)
-                .expect("CSR edges are valid by construction");
-        }
-        g
-    }
-
     /// Extracts the subgraph induced by the nodes where `keep[v]` is true.
     ///
     /// Returns the subgraph plus the mapping `new index -> old index`.
@@ -344,8 +333,15 @@ mod tests {
         let csr = triangle_plus_tail();
         let edges: Vec<_> = csr.edges().collect();
         assert_eq!(edges, vec![(0, 1, 3), (0, 2, 1), (1, 2, 1), (2, 3, 1)]);
-        let g2 = csr.to_multigraph();
-        assert_eq!(g2.to_csr(), csr);
+        // `to_csr` keeps each neighbour list in ascending order, with its
+        // weights.
+        assert_eq!(csr.neighbors(0), &[1, 2]);
+        assert_eq!(csr.neighbor_weights(0), &[3, 1]);
+        assert_eq!(csr.neighbors(1), &[0, 2]);
+        assert_eq!(csr.neighbor_weights(1), &[3, 1]);
+        assert_eq!(csr.neighbors(2), &[0, 1, 3]);
+        assert_eq!(csr.neighbor_weights(2), &[1, 1, 1]);
+        assert_eq!(csr.neighbors(3), &[2]);
     }
 
     #[test]

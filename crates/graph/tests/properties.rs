@@ -33,8 +33,8 @@ fn handshake_lemma() {
     });
 }
 
-/// CSR snapshot and the multigraph agree on every query; round-trip is
-/// lossless.
+/// CSR snapshot and the multigraph agree on every query and on every
+/// neighbour list.
 #[test]
 fn csr_round_trip() {
     check(256, |rng| {
@@ -55,7 +55,19 @@ fn csr_round_trip() {
                 );
             }
         }
-        assert_eq!(csr.to_multigraph(), g);
+        for v in 0..n {
+            let want: Vec<(u32, u64)> = g
+                .neighbors(NodeId::new(v))
+                .map(|(u, w)| (u.index() as u32, w))
+                .collect();
+            let got: Vec<(u32, u64)> = csr
+                .neighbors(v)
+                .iter()
+                .copied()
+                .zip(csr.neighbor_weights(v).iter().copied())
+                .collect();
+            assert_eq!(got, want, "node {v}");
+        }
     });
 }
 

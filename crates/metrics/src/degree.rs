@@ -2,7 +2,7 @@
 
 use inet_graph::Csr;
 use inet_stats::ccdf::{ccdf_u64, Ccdf};
-use inet_stats::powerlaw::{fit_discrete, fit_discrete_auto, PowerLawFit};
+use inet_stats::powerlaw::{fit_discrete_auto, PowerLawFit};
 
 /// Degree distribution of a graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,22 +58,6 @@ impl DegreeStats {
     pub fn powerlaw_fit(&self) -> Option<PowerLawFit> {
         fit_discrete_auto(&self.degrees)
     }
-
-    /// Power-law fit at a fixed lower cutoff.
-    pub fn powerlaw_fit_at(&self, kmin: u64) -> Option<PowerLawFit> {
-        fit_discrete(&self.degrees, kmin)
-    }
-
-    /// Heterogeneity ratio `κ = ⟨k²⟩/⟨k⟩` — diverges with size for
-    /// scale-free networks with `γ < 3`, stays `O(⟨k⟩)` for homogeneous
-    /// ones.
-    pub fn heterogeneity(&self) -> f64 {
-        if self.mean > 0.0 {
-            self.second_moment / self.mean
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +100,6 @@ mod tests {
         let s = DegreeStats::measure(&Csr::from_edges(0, &[]));
         assert_eq!(s.mean, 0.0);
         assert_eq!(s.max, 0);
-        assert_eq!(s.heterogeneity(), 0.0);
         assert!(s.powerlaw_fit().is_none());
     }
 
@@ -127,13 +110,6 @@ mod tests {
         let c = DegreeStats::measure(&g).ccdf();
         assert_eq!(c.values, vec![2.0]);
         assert_eq!(c.ccdf, vec![1.0]);
-    }
-
-    #[test]
-    fn heterogeneity_of_star_grows() {
-        let small = DegreeStats::measure(&star(10)).heterogeneity();
-        let large = DegreeStats::measure(&star(100)).heterogeneity();
-        assert!(large > small * 5.0, "{large} vs {small}");
     }
 
     #[test]
@@ -154,7 +130,5 @@ mod tests {
         };
         let fit = stats.powerlaw_fit().unwrap();
         assert!((fit.gamma - 2.3).abs() < 0.25, "gamma {}", fit.gamma);
-        let fixed = stats.powerlaw_fit_at(2).unwrap();
-        assert!((fixed.gamma - 2.3).abs() < 0.25);
     }
 }

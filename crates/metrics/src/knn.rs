@@ -107,16 +107,6 @@ impl KnnStats {
             .unzip();
         binned_mean_by_int(&ks, &ys)
     }
-
-    /// Normalized spectrum `k̄_nn(k)·⟨k⟩/⟨k²⟩` (flat ≈ 1 for an
-    /// uncorrelated network).
-    pub fn normalized_spectrum(&self, g: &Csr) -> BinnedSpectrum {
-        let mut s = self.spectrum(g);
-        for y in &mut s.y {
-            *y *= self.normalization;
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -183,8 +173,6 @@ mod tests {
         let sp = s.spectrum(&g);
         assert_eq!(sp.x, vec![1.0, 2.0]);
         assert_eq!(sp.y, vec![2.0, 1.0]);
-        let ns = s.normalized_spectrum(&g);
-        assert!((ns.y[0] - 2.0 * 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

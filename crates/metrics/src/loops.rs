@@ -45,15 +45,9 @@ impl CycleCensus {
         Self::measure_with_clustering_threaded(g, &clustering, threads)
     }
 
-    /// Like [`CycleCensus::measure`], reusing already-computed clustering
-    /// statistics (triangle counts).
-    pub fn measure_with_clustering(g: &Csr, clustering: &ClusteringStats) -> Self {
-        Self::measure_with_clustering_threaded(g, clustering, 1)
-    }
-
-    /// [`CycleCensus::measure_with_clustering`] with the root nodes of the
-    /// sparse `A²` rows fanned out over `threads` workers. All accumulations
-    /// are integers, so the census is identical for any thread count.
+    /// [`CycleCensus::measure_threaded`], reusing already-computed
+    /// clustering statistics (triangle counts). All accumulations are
+    /// integers, so the census is identical for any thread count.
     pub fn measure_with_clustering_threaded(
         g: &Csr,
         clustering: &ClusteringStats,

@@ -8,7 +8,6 @@
 
 use inet_graph::Csr;
 use inet_stats::binned::{binned_mean_log, BinnedSpectrum};
-use inet_stats::ccdf::{ccdf_u64, Ccdf};
 use inet_stats::regression::{loglog_fit, LinearFit};
 
 /// Strength/bandwidth statistics.
@@ -42,11 +41,6 @@ impl WeightedStats {
             max_strength,
             mean_multiplicity,
         }
-    }
-
-    /// CCDF of node strengths.
-    pub fn strength_ccdf(&self) -> Ccdf {
-        ccdf_u64(&self.strengths)
     }
 }
 
@@ -375,13 +369,5 @@ mod tests {
                 assert!(y <= 1.0 + 1e-12, "Y above 1 at {v}");
             }
         }
-    }
-
-    #[test]
-    fn strength_ccdf_shape() {
-        let g = Csr::from_edges(3, &[(0, 1), (1, 2)]);
-        let c = WeightedStats::measure(&g).strength_ccdf();
-        assert_eq!(c.values, vec![1.0, 2.0]);
-        assert_eq!(c.ccdf, vec![1.0, 1.0 / 3.0]);
     }
 }

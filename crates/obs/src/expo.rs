@@ -1,4 +1,4 @@
-//! Exposition: Prometheus text format and a flat-JSON form.
+//! Exposition: the Prometheus text format.
 //!
 //! The serve daemon answers a `metrics` request with
 //! [`render_prometheus`] output (its own registry concatenated with the
@@ -99,28 +99,6 @@ fn label_block(key: &MetricKey) -> String {
             .collect();
         format!("{{{}}}", pairs.join(","))
     }
-}
-
-/// Renders every metric as one flat JSON object: counters and gauges map
-/// their canonical id to the value; histograms contribute `<id>:count` and
-/// `<id>:sum` entries. Keys are JSON-escaped.
-pub fn render_json(registry: &Registry) -> String {
-    // Label escaping (backslash, quote, newline) is also valid JSON
-    // string escaping for these three characters.
-    let esc = crate::registry::escape_label;
-    let mut fields = Vec::new();
-    for (key, metric) in registry.snapshot() {
-        let id = key.render();
-        match metric {
-            Metric::Counter(c) => fields.push(format!("\"{}\":{}", esc(&id), c.value())),
-            Metric::Gauge(g) => fields.push(format!("\"{}\":{}", esc(&id), g.value())),
-            Metric::Histogram(h) => {
-                fields.push(format!("\"{}:count\":{}", esc(&id), h.count()));
-                fields.push(format!("\"{}:sum\":{}", esc(&id), h.sum()));
-            }
-        }
-    }
-    format!("{{{}}}", fields.join(","))
 }
 
 /// Validates Prometheus text exposition: every non-comment line is
@@ -323,19 +301,6 @@ mod tests {
         let count_mismatch = "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 5\nh_sum 9\nh_count 4\n";
         assert!(validate_prometheus(count_mismatch).is_err());
         assert!(validate_prometheus("").is_ok());
-    }
-
-    #[test]
-    fn json_rendering_is_flat_and_sorted() {
-        let r = sample_registry();
-        let json = render_json(&r);
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"inet_jobs_accepted_total\":3"), "{json}");
-        assert!(json.contains("\"inet_jobs_queued\":2"), "{json}");
-        assert!(
-            json.contains("\"inet_task_latency_us{layer=\\\"sweep.cell\\\"}:count\":5"),
-            "{json}"
-        );
     }
 
     #[test]

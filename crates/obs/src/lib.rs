@@ -15,8 +15,8 @@
 //!   on the record path) and merged into a span tree on flush;
 //!   [`span::capture`] extracts one subtree — the pipeline appends it to
 //!   the run's `telemetry.log`, one record per span.
-//! * [`expo`] — Prometheus text exposition plus a flat-JSON form, and a
-//!   small format checker the daemon's end-to-end test leans on.
+//! * [`expo`] — Prometheus text exposition, and a small format checker
+//!   the daemon's end-to-end test leans on.
 //!
 //! ## Telemetry is inert — provably
 //!
@@ -34,7 +34,7 @@ pub mod expo;
 pub mod registry;
 pub mod span;
 
-pub use expo::{render_json, render_prometheus, validate_prometheus};
+pub use expo::{render_prometheus, validate_prometheus};
 pub use registry::{default_registry, Counter, Gauge, Histogram, Registry, HISTOGRAM_BUCKETS};
 pub use span::{SpanGuard, SpanRecord};
 

@@ -49,15 +49,7 @@ pub fn resumed_line(result: &SweepResult, checkpoint: Option<&Path>) -> Option<S
     })
 }
 
-/// One attack curve as CSV, with the legacy header.
-pub fn curve_csv(curve: &AttackCurve) -> String {
-    let mut csv = Vec::new();
-    push_curve_csv(&mut csv, curve);
-    // The encoder writes ASCII only.
-    String::from_utf8(csv).unwrap_or_default()
-}
-
-/// Appends `curve` to `out` as [`curve_csv`] renders it.
+/// Appends `curve` to `out` as CSV, with the legacy header.
 fn push_curve_csv(out: &mut Vec<u8>, curve: &AttackCurve) {
     out.extend_from_slice(b"removed,giant,edges,mean_component\n");
     write_points(out, &curve.points);
@@ -239,6 +231,14 @@ pub(crate) fn emit(
 mod tests {
     use super::*;
     use inet_resilience::{CellRecord, CurvePoint};
+
+    /// One attack curve as CSV, with the legacy header.
+    fn curve_csv(curve: &AttackCurve) -> String {
+        let mut csv = Vec::new();
+        push_curve_csv(&mut csv, curve);
+        // The encoder writes ASCII only.
+        String::from_utf8(csv).unwrap_or_default()
+    }
 
     fn sweep_with_one_cell() -> SweepResult {
         SweepResult {

@@ -435,7 +435,9 @@ mod tests {
     use super::*;
     use crate::runstore::CommitRecord;
     use crate::scenario::Scenario;
+    use inet_generators::ParamValue;
     use inet_resilience::Strategy;
+    use std::collections::BTreeMap;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("inet_pipeline_{tag}"));
@@ -480,7 +482,9 @@ mod tests {
         // same sweep config => identical cells, for any thread count.
         let direct = {
             let spec = inet_generators::lookup("ba").unwrap();
-            let params = spec.resolve_n(80).unwrap();
+            let params = spec
+                .resolve(&BTreeMap::from([("n".to_string(), ParamValue::Int(80))]))
+                .unwrap();
             let generator = (spec.build)(&params).unwrap();
             let mut rng = seeded_rng(11);
             let csr = generator.try_generate(&mut rng).unwrap().graph.to_csr();

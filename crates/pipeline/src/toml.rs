@@ -39,14 +39,6 @@ impl TomlValue {
             TomlValue::Table(_) => "table",
         }
     }
-
-    /// The table contents, when this is a table.
-    pub fn as_table(&self) -> Option<&BTreeMap<String, TomlValue>> {
-        match self {
-            TomlValue::Table(t) => Some(t),
-            _ => None,
-        }
-    }
 }
 
 /// A parse failure with its 1-based line number.
@@ -271,6 +263,13 @@ fn split_array(body: &str, line: usize) -> Result<Vec<String>, TomlError> {
 mod tests {
     use super::*;
 
+    fn table(v: &TomlValue) -> &BTreeMap<String, TomlValue> {
+        match v {
+            TomlValue::Table(t) => t,
+            other => panic!("not a table: {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_scalars_tables_and_arrays() {
         let doc = r#"
@@ -292,12 +291,12 @@ mod tests {
         assert_eq!(root["threads"], TomlValue::Int(4));
         assert_eq!(root["ratio"], TomlValue::Float(0.25));
         assert_eq!(root["flag"], TomlValue::Bool(true));
-        let generator = root["generator"].as_table().unwrap();
+        let generator = table(&root["generator"]);
         assert_eq!(generator["model"], TomlValue::Str("glp".into()));
         assert_eq!(generator["n"], TomlValue::Int(1000));
-        let params = generator["params"].as_table().unwrap();
+        let params = table(&generator["params"]);
         assert_eq!(params["p"], TomlValue::Float(0.4695));
-        let attack = root["attack"].as_table().unwrap();
+        let attack = table(&root["attack"]);
         assert_eq!(
             attack["strategies"],
             TomlValue::Array(vec![
@@ -318,15 +317,15 @@ mod tests {
     #[test]
     fn dotted_keys_nest() {
         let root = parse("a.b.c = 1").unwrap();
-        let a = root["a"].as_table().unwrap();
-        let b = a["b"].as_table().unwrap();
+        let a = table(&root["a"]);
+        let b = table(&a["b"]);
         assert_eq!(b["c"], TomlValue::Int(1));
     }
 
     #[test]
     fn empty_section_still_exists() {
         let root = parse("[attack]").unwrap();
-        assert!(root["attack"].as_table().unwrap().is_empty());
+        assert!(table(&root["attack"]).is_empty());
     }
 
     #[test]
@@ -365,7 +364,7 @@ mod tests {
         // harmless here and keeps the parser small); duplicate *keys* are
         // still rejected.
         let root = parse("[t]\na = 1\n[t]\nb = 2").unwrap();
-        let t = root["t"].as_table().unwrap();
+        let t = table(&root["t"]);
         assert_eq!(t.len(), 2);
         assert!(parse("[t]\na = 1\n[t]\na = 2").is_err());
     }

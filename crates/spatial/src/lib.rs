@@ -6,8 +6,8 @@
 //! BRITE-style, the Serrano competition–adaptation model) therefore need
 //! point sets with controllable fractal dimension, plus distance machinery:
 //!
-//! * [`Point2`] — plain 2-D points with Euclidean and toroidal metrics.
-//! * [`pointset`] — uniform and Lévy-flight point clouds in the unit square.
+//! * [`Point2`] — plain 2-D points with the Euclidean metric.
+//! * [`pointset`] — uniform point clouds in the unit square.
 //! * [`fractal`] — randomized Cantor-dust point sets with **tunable
 //!   box-counting dimension** `D_f ∈ (0, 2]` via recursive quad subdivision.
 //! * [`boxcount`] — a box-counting dimension estimator used to validate the
@@ -30,4 +30,4 @@ pub use boxcount::box_counting_dimension;
 pub use fractal::FractalSet;
 pub use index::GridIndex;
 pub use point::Point2;
-pub use pointset::{levy_points, uniform_points};
+pub use pointset::uniform_points;

@@ -29,67 +29,6 @@ impl Point2 {
         let dy = self.y - other.y;
         dx * dx + dy * dy
     }
-
-    /// Toroidal (periodic) distance on a `size × size` torus — removes
-    /// boundary effects in small simulation domains.
-    pub fn dist_torus(&self, other: &Point2, size: f64) -> f64 {
-        let wrap = |d: f64| {
-            let d = d.abs() % size;
-            d.min(size - d)
-        };
-        let dx = wrap(self.x - other.x);
-        let dy = wrap(self.y - other.y);
-        (dx * dx + dy * dy).sqrt()
-    }
-
-    /// Midpoint between two points.
-    pub fn midpoint(&self, other: &Point2) -> Point2 {
-        Point2::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
-}
-
-/// Largest pairwise distance over a point set, by exhaustive scan when the
-/// set is small and by convex-ish corner heuristics otherwise.
-///
-/// For `n ≤ 2000` this is exact (`O(n²)`); beyond that it returns the exact
-/// maximum distance among the 64 points most extreme along eight compass
-/// directions — a tight bound for the clustered sets used here, and the
-/// quantity only ever feeds a cost *scale* (`kappa` in distance kernels).
-pub fn max_pairwise_distance(points: &[Point2]) -> f64 {
-    if points.len() < 2 {
-        return 0.0;
-    }
-    let exact = |pts: &[Point2]| {
-        let mut best = 0.0f64;
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                best = best.max(pts[i].dist(&pts[j]));
-            }
-        }
-        best
-    };
-    if points.len() <= 2000 {
-        return exact(points);
-    }
-    // Pick extremes along 8 directions.
-    let dirs: [(f64, f64); 8] = [
-        (1.0, 0.0),
-        (-1.0, 0.0),
-        (0.0, 1.0),
-        (0.0, -1.0),
-        (1.0, 1.0),
-        (1.0, -1.0),
-        (-1.0, 1.0),
-        (-1.0, -1.0),
-    ];
-    let mut candidates: Vec<Point2> = Vec::new();
-    for (dx, dy) in dirs {
-        let mut scored: Vec<(f64, &Point2)> =
-            points.iter().map(|p| (p.x * dx + p.y * dy, p)).collect();
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite coordinates"));
-        candidates.extend(scored.iter().take(8).map(|&(_, p)| *p));
-    }
-    exact(&candidates)
 }
 
 #[cfg(test)]
@@ -103,49 +42,5 @@ mod tests {
         assert!((a.dist(&b) - 5.0).abs() < 1e-12);
         assert!((a.dist_sq(&b) - 25.0).abs() < 1e-12);
         assert_eq!(a.dist(&a), 0.0);
-    }
-
-    #[test]
-    fn torus_distance_wraps() {
-        let a = Point2::new(0.05, 0.5);
-        let b = Point2::new(0.95, 0.5);
-        assert!((a.dist(&b) - 0.9).abs() < 1e-12);
-        assert!((a.dist_torus(&b, 1.0) - 0.1).abs() < 1e-12);
-        // Within half the domain, torus = euclidean.
-        let c = Point2::new(0.3, 0.5);
-        assert!((a.dist_torus(&c, 1.0) - a.dist(&c)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn midpoint_is_halfway() {
-        let m = Point2::new(0.0, 2.0).midpoint(&Point2::new(4.0, 0.0));
-        assert_eq!(m, Point2::new(2.0, 1.0));
-    }
-
-    #[test]
-    fn max_distance_small_exact() {
-        let pts = [
-            Point2::new(0.0, 0.0),
-            Point2::new(1.0, 1.0),
-            Point2::new(0.2, 0.8),
-        ];
-        assert!((max_pairwise_distance(&pts) - 2f64.sqrt()).abs() < 1e-12);
-        assert_eq!(max_pairwise_distance(&pts[..1]), 0.0);
-        assert_eq!(max_pairwise_distance(&[]), 0.0);
-    }
-
-    #[test]
-    fn max_distance_large_uses_extremes() {
-        // Dense grid with two far corners: heuristic must find the diagonal.
-        let mut pts = Vec::new();
-        for i in 0..60 {
-            for j in 0..60 {
-                pts.push(Point2::new(i as f64 / 100.0 + 0.2, j as f64 / 100.0 + 0.2));
-            }
-        }
-        pts.push(Point2::new(0.0, 0.0));
-        pts.push(Point2::new(1.0, 1.0));
-        assert!(pts.len() > 2000);
-        assert!((max_pairwise_distance(&pts) - 2f64.sqrt()).abs() < 1e-9);
     }
 }

@@ -1,4 +1,4 @@
-//! Uniform and Lévy-flight point clouds in the unit square.
+//! Uniform point clouds in the unit square.
 
 use crate::Point2;
 use inet_stats::rng::StdRng;
@@ -8,32 +8,6 @@ pub fn uniform_points(n: usize, rng: &mut StdRng) -> Vec<Point2> {
     (0..n)
         .map(|_| Point2::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
         .collect()
-}
-
-/// `n` points laid down by a Lévy flight with step-length tail exponent
-/// `alpha` (`P(step ≥ s) ∝ s^(−alpha)`, `alpha > 0`), wrapped onto the unit
-/// torus. Small `alpha` produces long jumps between dense local clusters —
-/// a quick way to get "cities with sparse long-haul links" geometry without
-/// the full fractal machinery.
-///
-/// # Panics
-///
-/// Panics if `alpha <= 0`.
-pub fn levy_points(n: usize, alpha: f64, rng: &mut StdRng) -> Vec<Point2> {
-    assert!(alpha > 0.0, "Levy exponent must be positive");
-    let mut pts = Vec::with_capacity(n);
-    let mut x = rng.gen_range(0.0..1.0);
-    let mut y = rng.gen_range(0.0..1.0);
-    let min_step = 1e-3;
-    for _ in 0..n {
-        pts.push(Point2::new(x, y));
-        let u: f64 = 1.0 - rng.gen_range(0.0..1.0);
-        let step = (min_step * u.powf(-1.0 / alpha)).min(0.5);
-        let theta = rng.gen_range(0.0..std::f64::consts::TAU);
-        x = (x + step * theta.cos()).rem_euclid(1.0);
-        y = (y + step * theta.sin()).rem_euclid(1.0);
-    }
-    pts
 }
 
 #[cfg(test)]
@@ -65,36 +39,9 @@ mod tests {
     }
 
     #[test]
-    fn levy_points_wrap_and_cluster() {
-        let mut rng = seeded_rng(3);
-        let pts = levy_points(2000, 1.2, &mut rng);
-        assert_eq!(pts.len(), 2000);
-        assert!(pts
-            .iter()
-            .all(|p| (0.0..1.0).contains(&p.x) && (0.0..1.0).contains(&p.y)));
-        // Clustering check: median consecutive step is much smaller than the
-        // mean (heavy-tailed steps).
-        let steps: Vec<f64> = pts
-            .windows(2)
-            .map(|w| w[0].dist_torus(&w[1], 1.0))
-            .collect();
-        let med = inet_stats::summary::median(&steps).unwrap();
-        let mean = inet_stats::Summary::from_slice(&steps).mean;
-        assert!(med < mean, "median {med} !< mean {mean}");
-    }
-
-    #[test]
     fn empty_request_yields_empty_sets() {
         let mut rng = seeded_rng(4);
         assert!(uniform_points(0, &mut rng).is_empty());
-        assert!(levy_points(0, 1.5, &mut rng).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "Levy exponent")]
-    fn levy_rejects_bad_alpha() {
-        let mut rng = seeded_rng(5);
-        let _ = levy_points(10, 0.0, &mut rng);
     }
 
     #[test]

@@ -26,19 +26,6 @@ fn euclidean_is_a_metric() {
     });
 }
 
-/// Toroidal distance never exceeds Euclidean distance and is bounded by the
-/// half-diagonal of the torus.
-#[test]
-fn torus_distance_bounds() {
-    check(256, |rng| {
-        let (a, b) = (point(rng), point(rng));
-        let t = a.dist_torus(&b, 1.0);
-        assert!(t <= a.dist(&b) + 1e-12);
-        assert!(t <= (0.5f64 * 0.5 + 0.5 * 0.5).sqrt() + 1e-12);
-        assert!((a.dist_torus(&b, 1.0) - b.dist_torus(&a, 1.0)).abs() < 1e-12);
-    });
-}
-
 /// Grid-index radius queries agree with brute force for arbitrary point
 /// sets, probes, radii, and cell sizes.
 #[test]

@@ -20,14 +20,6 @@ pub struct BinnedSpectrum {
 }
 
 impl BinnedSpectrum {
-    /// Looks up the mean for an exact `x` value, if that bin exists.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.x
-            .iter()
-            .position(|&v| (v - x).abs() < 1e-9)
-            .map(|i| self.y[i])
-    }
-
     /// Iterates `(x, mean y, count)` triples.
     pub fn points(&self) -> impl Iterator<Item = (f64, f64, usize)> + '_ {
         self.x
@@ -124,8 +116,6 @@ mod tests {
         assert_eq!(s.x, vec![2.0, 3.0, 5.0]);
         assert_eq!(s.y, vec![2.0, 5.0, 4.0]);
         assert_eq!(s.count, vec![2, 3, 1]);
-        assert_eq!(s.y_at(3.0), Some(5.0));
-        assert_eq!(s.y_at(4.0), None);
     }
 
     #[test]

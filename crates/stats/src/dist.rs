@@ -1,7 +1,7 @@
 //! Scalar distributions built directly on [`crate::rng::StdRng`].
 //!
 //! The handful of distributions needed (exponential waiting times,
-//! log-normal measurement noise, Pareto/Zipf heavy tails, standard normal)
+//! log-normal measurement noise, Zipf heavy tails, standard normal)
 //! are implemented here with explicit, testable numerics.
 
 use crate::rng::StdRng;
@@ -41,18 +41,6 @@ pub fn exponential(rate: f64, rng: &mut StdRng) -> f64 {
     assert!(rate > 0.0, "rate must be positive");
     let u: f64 = 1.0 - rng.gen_range(0.0..1.0);
     -u.ln() / rate
-}
-
-/// Samples a Pareto with scale `xmin` and shape `alpha`
-/// (`P(X ≥ x) = (xmin/x)^alpha`).
-///
-/// # Panics
-///
-/// Panics if `xmin <= 0` or `alpha <= 0`.
-pub fn pareto(xmin: f64, alpha: f64, rng: &mut StdRng) -> f64 {
-    assert!(xmin > 0.0 && alpha > 0.0, "invalid Pareto parameters");
-    let u: f64 = 1.0 - rng.gen_range(0.0..1.0);
-    xmin * u.powf(-1.0 / alpha)
 }
 
 /// A Zipf distribution over `1..=n` with exponent `s`
@@ -99,15 +87,6 @@ impl Zipf {
         }
         .min(self.cdf.len())
     }
-
-    /// Probability mass at `k` (`1..=n`); 0 outside the support.
-    pub fn pmf(&self, k: usize) -> f64 {
-        if k == 0 || k > self.cdf.len() {
-            return 0.0;
-        }
-        let prev = if k == 1 { 0.0 } else { self.cdf[k - 2] };
-        self.cdf[k - 1] - prev
-    }
 }
 
 #[cfg(test)]
@@ -145,51 +124,32 @@ mod tests {
         assert!(s.min >= 0.0);
     }
 
-    #[test]
-    fn pareto_respects_scale_and_tail() {
-        let mut rng = seeded_rng(13);
-        let xs: Vec<f64> = (0..20_000).map(|_| pareto(2.0, 1.5, &mut rng)).collect();
-        assert!(xs.iter().all(|&x| x >= 2.0));
-        // P(X >= 4) = (2/4)^1.5 ≈ 0.3536.
-        let frac = xs.iter().filter(|&&x| x >= 4.0).count() as f64 / xs.len() as f64;
-        assert!((frac - 0.3536).abs() < 0.02, "frac {frac}");
+    /// The share of 100 000 draws that lands on each of `1..=support`.
+    fn zipf_shares(support: usize, s: f64) -> Vec<f64> {
+        let z = Zipf::new(support, s);
+        let mut rng = seeded_rng(14);
+        let mut counts = vec![0usize; support];
+        for _ in 0..100_000 {
+            let k = z.sample(&mut rng);
+            assert!((1..=support).contains(&k));
+            counts[k - 1] += 1;
+        }
+        counts.iter().map(|&c| c as f64 / 100_000.0).collect()
     }
 
     #[test]
     fn zipf_frequencies_match_pmf() {
-        let z = Zipf::new(5, 1.0);
-        let mut rng = seeded_rng(14);
-        let mut counts = [0usize; 6];
-        let n = 100_000;
-        for _ in 0..n {
-            let k = z.sample(&mut rng);
-            assert!((1..=5).contains(&k));
-            counts[k] += 1;
+        let norm: f64 = (1..=5).map(|k| 1.0 / k as f64).sum();
+        for (i, got) in zipf_shares(5, 1.0).into_iter().enumerate() {
+            let pmf = 1.0 / ((i + 1) as f64 * norm);
+            assert!((got - pmf).abs() < 0.01, "k={}: {got} vs {pmf}", i + 1);
         }
-        for (k, &count) in counts.iter().enumerate().skip(1) {
-            let got = count as f64 / n as f64;
-            assert!(
-                (got - z.pmf(k)).abs() < 0.01,
-                "k={k}: {got} vs {}",
-                z.pmf(k)
-            );
-        }
-    }
-
-    #[test]
-    fn zipf_pmf_sums_to_one() {
-        let z = Zipf::new(40, 2.0);
-        let total: f64 = (1..=40).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert_eq!(z.pmf(0), 0.0);
-        assert_eq!(z.pmf(41), 0.0);
     }
 
     #[test]
     fn zipf_s_zero_is_uniform() {
-        let z = Zipf::new(4, 0.0);
-        for k in 1..=4 {
-            assert!((z.pmf(k) - 0.25).abs() < 1e-12);
+        for got in zipf_shares(4, 0.0) {
+            assert!((got - 0.25).abs() < 0.01, "{got}");
         }
     }
 

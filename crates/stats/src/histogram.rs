@@ -47,13 +47,6 @@ impl Histogram {
         }
     }
 
-    /// Adds every sample of a slice.
-    pub fn add_all(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.add(x);
-        }
-    }
-
     /// Raw bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -127,15 +120,6 @@ impl LogHistogram {
         }
     }
 
-    /// Log histogram sized for positive integer data `1..=max` with roughly
-    /// `bins_per_decade` bins per factor of ten.
-    pub fn for_integer_data(max: u64, bins_per_decade: usize) -> Self {
-        let hi = (max.max(2)) as f64 * 1.0001;
-        let decades = hi.log10().max(0.1);
-        let bins = ((decades * bins_per_decade as f64).ceil() as usize).max(1);
-        Self::new(1.0, hi, bins)
-    }
-
     /// Adds one sample.
     pub fn add(&mut self, x: f64) {
         if !x.is_finite() || x < self.lo {
@@ -148,13 +132,6 @@ impl LogHistogram {
             self.overflow += 1;
         } else {
             self.counts[idx] += 1;
-        }
-    }
-
-    /// Adds every sample of a slice.
-    pub fn add_all(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.add(x);
         }
     }
 
@@ -198,7 +175,9 @@ mod tests {
     #[test]
     fn linear_binning_and_edges() {
         let mut h = Histogram::new(0.0, 10.0, 10);
-        h.add_all(&[0.0, 0.5, 9.99, 10.0, -0.1, f64::NAN]);
+        for x in [0.0, 0.5, 9.99, 10.0, -0.1, f64::NAN] {
+            h.add(x);
+        }
         assert_eq!(h.counts()[0], 2);
         assert_eq!(h.counts()[9], 1);
         assert_eq!(h.overflow, 1);
@@ -210,7 +189,9 @@ mod tests {
     #[test]
     fn linear_density_integrates_to_in_range_mass() {
         let mut h = Histogram::new(0.0, 1.0, 4);
-        h.add_all(&[0.1, 0.3, 0.6, 0.9]);
+        for x in [0.1, 0.3, 0.6, 0.9] {
+            h.add(x);
+        }
         let mass: f64 = h.density().iter().map(|&(_, d)| d * 0.25).sum();
         assert!((mass - 1.0).abs() < 1e-12);
     }
@@ -238,7 +219,9 @@ mod tests {
     #[test]
     fn log_add_routes_to_correct_bin() {
         let mut h = LogHistogram::new(1.0, 1000.0, 3);
-        h.add_all(&[1.0, 5.0, 15.0, 999.0, 1000.0, 0.5, 0.0, -3.0]);
+        for x in [1.0, 5.0, 15.0, 999.0, 1000.0, 0.5, 0.0, -3.0] {
+            h.add(x);
+        }
         assert_eq!(h.counts(), &[2, 1, 1]);
         assert_eq!(h.overflow, 1);
         assert_eq!(h.underflow, 3);
@@ -269,14 +252,6 @@ mod tests {
         let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
         let slope = (n * sxy - sx * sy) / (n * sxx - sx * sx);
         assert!((slope + 2.0).abs() < 0.15, "slope was {slope}");
-    }
-
-    #[test]
-    fn for_integer_data_covers_max() {
-        let mut h = LogHistogram::for_integer_data(5000, 10);
-        h.add(5000.0);
-        assert_eq!(h.overflow, 0);
-        assert_eq!(h.counts().iter().sum::<u64>(), 1);
     }
 
     #[test]

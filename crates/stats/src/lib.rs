@@ -23,7 +23,7 @@
 //!   preferential-attachment generator in the workspace, plus a static
 //!   cumulative-table sampler.
 //! * [`dist`] — scalar distributions on top of [`rng::StdRng`] (exponential,
-//!   Pareto, log-normal via Box–Muller, Zipf by rejection-inversion).
+//!   log-normal via Box–Muller, Zipf by inversion).
 //! * [`rng`] — the workspace's one RNG, its deterministic seeding helpers,
 //!   and the seeded case loop the property tests run on.
 //!

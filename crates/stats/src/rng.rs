@@ -11,11 +11,14 @@
 
 use std::ops::{Range, RangeInclusive};
 
-/// Golden-ratio increment of SplitMix64.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Golden-ratio increment of SplitMix64: step `k` of a SplitMix64 stream
+/// started at `s` is `mix64(s + k · GOLDEN)`.
+pub const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The SplitMix64 finalizer: a bijective avalanche mix of one word.
-fn mix64(mut z: u64) -> u64 {
+/// The SplitMix64 finalizer: a bijective avalanche mix of one word. The
+/// workspace's one copy; the retry jitter and the seeded fault plans call
+/// it too.
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

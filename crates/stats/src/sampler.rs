@@ -120,12 +120,6 @@ impl DynamicWeightedSampler {
         }
     }
 
-    /// Adds `delta` to the weight of item `i` (clamped at 0).
-    pub fn add_weight(&mut self, i: usize, delta: f64) {
-        let w = (self.weights[i] + delta).max(0.0);
-        self.set_weight(i, w);
-    }
-
     /// Draws an index with probability proportional to its weight.
     ///
     /// Returns `None` when the total weight is zero (or no items exist).
@@ -387,18 +381,6 @@ mod tests {
         assert!((frac - 0.9).abs() < 0.02, "frac = {frac}");
         assert!((s.total() - 10.0).abs() < 1e-12);
         assert_eq!(s.weight(0), 9.0);
-    }
-
-    #[test]
-    fn add_weight_clamps_at_zero() {
-        let mut s = DynamicWeightedSampler::from_weights(&[2.0, 5.0]);
-        s.add_weight(0, -7.0);
-        assert_eq!(s.weight(0), 0.0);
-        assert!((s.total() - 5.0).abs() < 1e-12);
-        let mut rng = seeded_rng(5);
-        for _ in 0..100 {
-            assert_eq!(s.sample(&mut rng), Some(1));
-        }
     }
 
     #[test]

@@ -47,33 +47,10 @@ impl Summary {
         }
     }
 
-    /// Convenience constructor for integer-valued samples.
-    pub fn from_ints<I: IntoIterator<Item = u64>>(values: I) -> Self {
-        let v: Vec<f64> = values.into_iter().map(|x| x as f64).collect();
-        Self::from_slice(&v)
-    }
-
     /// Sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance.sqrt()
     }
-
-    /// Standard error of the mean; 0 when `n < 2`.
-    pub fn std_error(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.std_dev() / (self.n as f64).sqrt()
-        }
-    }
-}
-
-/// Raw moment `⟨x^p⟩` of a sample; 0 for an empty sample.
-pub fn raw_moment(values: &[f64], p: i32) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().map(|&x| x.powi(p)).sum::<f64>() / values.len() as f64
 }
 
 /// `q`-th percentile (`0 ≤ q ≤ 100`) using linear interpolation between
@@ -106,7 +83,6 @@ mod tests {
         assert_eq!(s.n, 0);
         assert_eq!(s.mean, 0.0);
         assert_eq!(s.variance, 0.0);
-        assert_eq!(s.std_error(), 0.0);
         assert_eq!(percentile(&[], 50.0), None);
     }
 
@@ -146,21 +122,6 @@ mod tests {
             "variance was {}",
             s.variance
         );
-    }
-
-    #[test]
-    fn from_ints_matches_floats() {
-        let a = Summary::from_ints([1u64, 2, 3, 4]);
-        let b = Summary::from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn raw_moments() {
-        let v = [1.0, 2.0, 3.0];
-        assert!((raw_moment(&v, 1) - 2.0).abs() < 1e-12);
-        assert!((raw_moment(&v, 2) - 14.0 / 3.0).abs() < 1e-12);
-        assert_eq!(raw_moment(&[], 2), 0.0);
     }
 
     #[test]

@@ -1805,7 +1805,9 @@ mod tests {
         // must accept its own defaults at a small size.
         assert_eq!(registry().len(), 15);
         for spec in registry() {
-            let params = spec.resolve_n(100).unwrap();
+            let params = spec
+                .resolve(&BTreeMap::from([("n".to_string(), ParamValue::Int(100))]))
+                .unwrap();
             assert!((spec.build)(&params).is_ok(), "{}", spec.name);
         }
         let err = lookup("zzz").unwrap_err();
@@ -1815,7 +1817,12 @@ mod tests {
     #[test]
     fn generate_and_measure_round_trip_through_files() {
         let spec = lookup("glp").unwrap();
-        let generator = (spec.build)(&spec.resolve_n(200).unwrap()).unwrap();
+        let generator = (spec.build)(
+            &spec
+                .resolve(&BTreeMap::from([("n".to_string(), ParamValue::Int(200))]))
+                .unwrap(),
+        )
+        .unwrap();
         let mut rng = seeded_rng(1);
         let net = generator.generate(&mut rng);
         let dir = std::env::temp_dir().join("inet_cli_test");
